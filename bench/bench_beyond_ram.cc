@@ -8,17 +8,27 @@
 // (NOT gated) via check_bench_regression.py --xmem, because cold-fault
 // timings on shared CI runners are dominated by the page cache and the
 // filesystem.
+//
+// The WindowBudget cells sweep the budget from 1% of the file to all of
+// it for RSMI and HRR (Section 3 storage model / Section 6.1: "it is
+// straightforward to place the data blocks in external memory"). They
+// report chunk faults and evictions per query next to the paper's
+// "# block accesses", the logical cost those physical reads stand for.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <map>
 #include <memory>
 #include <optional>
 #include <string>
 #include <vector>
 
 #include "bench_common.h"
+#include "common/timer.h"
 #include "io/index_container.h"
+#include "io/mapped_file.h"
 #include "xmem/external_index.h"
 #include "xmem/mapped_container.h"
 
@@ -26,12 +36,14 @@ namespace rsmi {
 namespace bench {
 namespace {
 
-std::string TempIndexPath() {
+std::string TempIndexPath(const std::string& spec) {
   const char* dir = std::getenv("TMPDIR");
-  return std::string(dir != nullptr ? dir : "/tmp") + "/bench_xmem.idx";
+  return std::string(dir != nullptr ? dir : "/tmp") + "/bench_xmem_" + spec +
+         ".idx";
 }
 
-/// One saved container + one eager twin shared across all cells.
+/// One saved container + one eager twin per index spec, shared across
+/// all cells of that spec.
 struct Fixture {
   std::string path;
   size_t file_bytes = 0;
@@ -40,34 +52,44 @@ struct Fixture {
   std::vector<Rect> windows;
 };
 
-Fixture& GetFixture() {
-  static Fixture fx = [] {
-    Fixture f;
-    const size_t n = GetScale().default_n;
-    const auto& data = Context::Get().Dataset(Distribution::kUniform, n);
-    auto built = MakeIndexFromSpec("rsmi", data, BuildConfig());
-    f.path = TempIndexPath();
-    std::string err;
-    if (!SaveIndex(*built, f.path, &err)) {
-      std::fprintf(stderr, "bench_beyond_ram: SaveIndex failed: %s\n",
-                   err.c_str());
-      std::exit(1);
-    }
-    IndexContainerInfo info;
-    if (ReadIndexContainerInfo(f.path, &info, &err)) {
-      f.file_bytes = info.file_bytes;
-    }
-    f.eager = LoadIndex(f.path, &err);
-    if (f.eager == nullptr) {
-      std::fprintf(stderr, "bench_beyond_ram: LoadIndex failed: %s\n",
-                   err.c_str());
-      std::exit(1);
-    }
-    for (size_t i = 0; i < data.size(); i += 7) f.probes.push_back(data[i]);
-    f.windows = GenerateWindowQueries(data, 50, 0.0001, 1.0, 11);
-    return f;
-  }();
-  return fx;
+Fixture BuildFixture(const std::string& spec) {
+  Fixture f;
+  const size_t n = GetScale().default_n;
+  const auto& data = Context::Get().Dataset(Distribution::kUniform, n);
+  auto built = MakeIndexFromSpec(spec, data, BuildConfig());
+  f.path = TempIndexPath(spec);
+  std::string err;
+  if (!SaveIndex(*built, f.path, &err)) {
+    std::fprintf(stderr, "bench_beyond_ram: SaveIndex failed: %s\n",
+                 err.c_str());
+    std::exit(1);
+  }
+  IndexContainerInfo info;
+  if (ReadIndexContainerInfo(f.path, &info, &err)) {
+    f.file_bytes = info.file_bytes;
+  }
+  f.eager = LoadIndex(f.path, &err);
+  if (f.eager == nullptr) {
+    std::fprintf(stderr, "bench_beyond_ram: LoadIndex failed: %s\n",
+                 err.c_str());
+    std::exit(1);
+  }
+  for (size_t i = 0; i < data.size(); i += 7) f.probes.push_back(data[i]);
+  f.windows = GenerateWindowQueries(data, 50, 0.0001, 1.0, 11);
+  return f;
+}
+
+std::map<std::string, Fixture>& Fixtures() {
+  static std::map<std::string, Fixture> fixtures;
+  return fixtures;
+}
+
+Fixture& GetFixture(const std::string& spec = "rsmi") {
+  auto it = Fixtures().find(spec);
+  if (it == Fixtures().end()) {
+    it = Fixtures().emplace(spec, BuildFixture(spec)).first;
+  }
+  return it->second;
 }
 
 std::unique_ptr<xmem::ExternalIndex> OpenMapped(bool prefetch,
@@ -87,8 +109,7 @@ std::unique_ptr<xmem::ExternalIndex> OpenMapped(bool prefetch,
 
 /// The parity gate: the lazy path must answer exactly like the eager
 /// twin before any latency is worth recording.
-bool ParityHolds(SpatialIndex* mapped, std::string* why) {
-  Fixture& fx = GetFixture();
+bool ParityHolds(const Fixture& fx, SpatialIndex* mapped, std::string* why) {
   QueryContext ec;
   QueryContext mc;
   std::vector<std::optional<PointEntry>> ehits(fx.probes.size());
@@ -144,7 +165,7 @@ void ColdPointBench(benchmark::State& state, bool prefetch) {
     state.SkipWithError(("open failed: " + err).c_str());
     return;
   }
-  if (!ParityHolds(ext.get(), &err)) {
+  if (!ParityHolds(fx, ext.get(), &err)) {
     state.SkipWithError(err.c_str());
     return;
   }
@@ -178,7 +199,7 @@ void ColdWindowBench(benchmark::State& state, bool prefetch) {
     state.SkipWithError(("open failed: " + err).c_str());
     return;
   }
-  if (!ParityHolds(ext.get(), &err)) {
+  if (!ParityHolds(fx, ext.get(), &err)) {
     state.SkipWithError(err.c_str());
     return;
   }
@@ -194,6 +215,64 @@ void ColdWindowBench(benchmark::State& state, bool prefetch) {
   }
   state.counters["file_mb"] = fx.file_bytes / 1048576.0;
   state.counters["queries"] = static_cast<double>(fx.windows.size());
+}
+
+/// The budget sweep: window queries against a mapping whose RSS budget
+/// is `fraction` of the file, one enforcement pass after every query so
+/// the budget binds at query granularity (the pass is part of the timed
+/// cost, as an in-line buffer-pool eviction would be). Page-sized chunks
+/// stand in for disk blocks: a fault is a cold chunk touched, an
+/// eviction a chunk dropped by the clock. Prefetch is off so every fault
+/// is on demand.
+void WindowBudgetBench(benchmark::State& state, const std::string& spec,
+                       double fraction) {
+  Fixture& fx = GetFixture(spec);
+  xmem::XmemOptions opts;
+  opts.apply_env_overrides = false;
+  opts.governor_interval_ms = 0;
+  opts.write_behind = false;
+  opts.prefetch = false;
+  opts.chunk_bytes = MappedFile::PageSize();
+  opts.rss_budget_bytes = std::max(
+      static_cast<size_t>(fraction * static_cast<double>(fx.file_bytes)),
+      opts.chunk_bytes);
+  std::string err;
+  {
+    // Parity on its own mapping, so the measured one starts cold.
+    auto probe = xmem::ExternalIndex::Open(fx.path, opts, &err);
+    if (probe == nullptr) {
+      state.SkipWithError(("open failed: " + err).c_str());
+      return;
+    }
+    if (!ParityHolds(fx, probe.get(), &err)) {
+      state.SkipWithError(err.c_str());
+      return;
+    }
+  }
+  auto ext = xmem::ExternalIndex::Open(fx.path, opts, &err);
+  if (ext == nullptr) {
+    state.SkipWithError(("open failed: " + err).c_str());
+    return;
+  }
+  QueryContext ctx;
+  double elapsed_us = 0.0;
+  for (auto _ : state) {
+    WallTimer timer;
+    for (const Rect& w : fx.windows) {
+      benchmark::DoNotOptimize(ext->WindowQuery(w, ctx));
+      ext->EnforceBudget();
+    }
+    elapsed_us += timer.ElapsedMicros();
+  }
+  const double queries =
+      static_cast<double>(fx.windows.size() * state.iterations());
+  state.counters["win_ms"] = elapsed_us / 1000.0 / queries;
+  state.counters["blocks_per_query"] =
+      static_cast<double>(ctx.block_accesses) / queries;
+  state.counters["faults_per_query"] =
+      static_cast<double>(ext->governor().first_touches()) / queries;
+  state.counters["evictions"] =
+      static_cast<double>(ext->governor().evictions());
 }
 
 }  // namespace
@@ -217,8 +296,21 @@ int main(int argc, char** argv) {
         ->Unit(benchmark::kMillisecond)
         ->UseRealTime();
   }
+  for (const char* spec : {"rsmi", "hrr"}) {
+    for (const double fraction : {0.01, 0.05, 0.25, 1.0}) {
+      RegisterNamed(
+          BenchName("BeyondRam", "WindowBudget", spec,
+                    "budget" +
+                        std::to_string(static_cast<int>(fraction * 100)) +
+                        "pct"),
+          [spec, fraction](benchmark::State& s) {
+            WindowBudgetBench(s, spec, fraction);
+          })
+          ->Iterations(1);
+    }
+  }
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();
-  std::remove(rsmi::bench::GetFixture().path.c_str());
+  for (const auto& entry : Fixtures()) std::remove(entry.second.path.c_str());
   return 0;
 }

@@ -6,9 +6,10 @@
 
 namespace rsmi {
 
-/// CRC-32 (IEEE 802.3 polynomial, reflected), the checksum guarding every
-/// page of a PagedFile against torn writes and bit rot. Table-driven,
-/// byte-at-a-time; the table is built once on first use.
+/// CRC-32 (IEEE 802.3 polynomial, reflected), the checksum guarding
+/// index-container payloads and write-behind log records against torn
+/// writes and bit rot. Table-driven, byte-at-a-time; the table is built
+/// once on first use.
 inline uint32_t Crc32(const void* data, size_t len, uint32_t seed = 0) {
   static const uint32_t* kTable = [] {
     static uint32_t table[256];

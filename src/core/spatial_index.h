@@ -51,11 +51,11 @@ struct IndexStats {
 /// readers — writers append into per-shard delta buffers and publish
 /// epoch snapshots, readers never block (see shard/sharded_index.h).
 /// Immediate (non-buffered) application, structural maintenance
-/// (rebuilds, Save/Load, attaching DiskBackedBlocks), and every write on
-/// a kind without concurrent-update support keep the legacy requirement:
-/// exclusive access, no query in flight. The legacy context-free query
-/// wrappers are also safe to call concurrently; they fold their costs
-/// into a thread-safe aggregate (see below).
+/// (rebuilds, Save/Load, installing a BlockStore access hook), and every
+/// write on a kind without concurrent-update support keep the legacy
+/// requirement: exclusive access, no query in flight. The legacy
+/// context-free query wrappers are also safe to call concurrently; they
+/// fold their costs into a thread-safe aggregate (see below).
 class SpatialIndex {
  public:
   virtual ~SpatialIndex() = default;
@@ -201,8 +201,8 @@ class SpatialIndex {
   /// of this counter, or better, pass a QueryContext to the query.
   virtual uint64_t block_accesses() const { return block_store().accesses(); }
 
-  /// The store holding this index's data blocks. Lets callers attach the
-  /// external-memory layer (DiskBackedBlocks) to any index uniformly.
+  /// The store holding this index's data blocks. Lets callers hook the
+  /// external-memory layer (xmem::ExternalIndex) into any index uniformly.
   virtual const BlockStore& block_store() const = 0;
 
   // --- Polymorphic persistence (src/io/index_container.h) ---

@@ -238,8 +238,8 @@ class BlockStore {
 
   /// Counted read access, charged to the caller's QueryContext. When an
   /// access hook is installed (external-memory mode, see
-  /// DiskBackedBlocks), the hook runs first and performs the physical
-  /// page fetch that this logical access models.
+  /// xmem::ExternalIndex), the hook runs first, before the entries this
+  /// logical access models are read.
   const Block& Access(int id, QueryContext& ctx) const {
     ++ctx.block_accesses;
     if (access_hook_) access_hook_(id);
@@ -247,10 +247,10 @@ class BlockStore {
   }
 
   /// Installs (or clears, with nullptr) a callback invoked on every
-  /// counted block access with the block id. DiskBackedBlocks uses this to
-  /// route accesses through a buffer pool over a paged file, turning the
-  /// paper's "# block accesses" cost model into real disk reads. Must not
-  /// race in-flight queries (attach/detach while readers are quiescent).
+  /// counted block access with the block id. xmem::ExternalIndex uses
+  /// this to feed its residency clock, so the paper's "# block accesses"
+  /// cost model drives which mapped pages stay in RAM. Must not race
+  /// in-flight queries (attach/detach while readers are quiescent).
   using AccessHook = std::function<void(int)>;
   void SetAccessHook(AccessHook hook) const {
     access_hook_ = std::move(hook);

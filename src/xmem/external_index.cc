@@ -66,9 +66,7 @@ std::unique_ptr<ExternalIndex> ExternalIndex::Open(const std::string& path,
     if (!WriteBehindBuffer::Recover(log, x->inner_.get(), nullptr, error)) {
       return nullptr;
     }
-    WriteBehindBuffer::Options wopts;
-    wopts.flush_threshold_bytes = opts.write_behind_flush_bytes;
-    x->wb_ = WriteBehindBuffer::Open(log, wopts, error);
+    x->wb_ = WriteBehindBuffer::Open(log, error);
     if (x->wb_ == nullptr) return nullptr;
     x->opts_.write_behind_log = log;
   }
@@ -128,9 +126,7 @@ void ExternalIndex::InstallHooks() {
   // still get lazy loading, the budget, and the write-behind log.
   if (opts_.prefetch) {
     if (auto* rsmi = dynamic_cast<RsmiIndex*>(inner_.get())) {
-      AsyncPrefetcher::Options popts;
-      popts.threads = opts_.prefetch_threads;
-      prefetcher_ = std::make_unique<AsyncPrefetcher>(&map, popts);
+      prefetcher_ = std::make_unique<AsyncPrefetcher>(&map);
       rsmi->SetBlockPrefetchHook(
           [this](int first, int last) { PrefetchBlocks(first, last); });
     }

@@ -16,13 +16,16 @@
 namespace rsmi {
 namespace xmem {
 
-/// Beyond-RAM configuration. Every knob has an environment override so
+/// Beyond-RAM configuration. Four knobs have an environment override so
 /// deployments (and the CI smoke) can retune a binary without rebuilding:
 ///
 ///   RSMI_XMEM_BUDGET_MB       rss_budget_bytes (in MiB)
 ///   RSMI_XMEM_PREFETCH        0/1 -> prefetch
 ///   RSMI_XMEM_VERIFY_CRC      0/1 -> verify_crc
 ///   RSMI_XMEM_DEEP_VALIDATE   0/1 -> deep_validate
+///
+/// The prefetcher's pool and the write-behind flush threshold are fixed
+/// (AsyncPrefetcher::kThreads, WriteBehindBuffer::kFlushThresholdBytes).
 struct XmemOptions {
   /// Hard RSS target for the mapping, enforced by the eviction clock.
   size_t rss_budget_bytes = 256ull << 20;
@@ -32,12 +35,10 @@ struct XmemOptions {
   int governor_interval_ms = 50;
   /// Model-prediction-driven readahead (RSMI inner kinds only).
   bool prefetch = true;
-  int prefetch_threads = 2;
   /// Absorb updates into the sequential crash-safe append log.
   bool write_behind = true;
   /// Log path; empty means "<container path>.wbl".
   std::string write_behind_log;
-  size_t write_behind_flush_bytes = 1 << 20;
   /// Eagerly sweep the payload CRC on open (faults the whole file).
   bool verify_crc = false;
   /// Run ValidateStructure after the lazy load (also faults everything).

@@ -6,15 +6,13 @@
 namespace rsmi {
 namespace xmem {
 
-AsyncPrefetcher::AsyncPrefetcher(const MappedFile* map, const Options& opts)
-    : map_(map), opts_(opts) {
+AsyncPrefetcher::AsyncPrefetcher(const MappedFile* map) : map_(map) {
   MetricsRegistry& reg = MetricsRegistry::Global();
   m_issued_ = &reg.GetCounter("xmem.prefetch.issued");
   m_dropped_ = &reg.GetCounter("xmem.prefetch.dropped");
   m_bytes_ = &reg.GetCounter("xmem.prefetch.bytes");
-  const int n = std::max(1, opts_.threads);
-  workers_.reserve(static_cast<size_t>(n));
-  for (int i = 0; i < n; ++i) {
+  workers_.reserve(kThreads);
+  for (int i = 0; i < kThreads; ++i) {
     workers_.emplace_back([this] { WorkerLoop(); });
   }
 }
@@ -33,7 +31,7 @@ void AsyncPrefetcher::EnqueueRange(size_t offset, size_t len) {
   len = std::min(len, map_->size() - offset);
   {
     std::lock_guard<std::mutex> lock(mu_);
-    if (queue_.size() >= opts_.queue_capacity) {
+    if (queue_.size() >= kQueueCapacity) {
       dropped_.fetch_add(1, std::memory_order_relaxed);
       m_dropped_->Add();
       return;
@@ -60,16 +58,15 @@ void AsyncPrefetcher::WorkerLoop() {
       ++in_flight_;
     }
     map_->Prefetch(r.offset, r.len);
-    if (opts_.touch_pages) {
-      // One volatile load per page forces the fault to complete here, on
-      // prefetcher time. The loads race queries and the eviction clock
-      // harmlessly: the mapping is immutable and evicted pages refault.
-      const size_t page = MappedFile::PageSize();
-      const uint8_t* base = map_->data();
-      const size_t end = std::min(map_->size(), r.offset + r.len);
-      for (size_t off = r.offset / page * page; off < end; off += page) {
-        (void)*static_cast<const volatile uint8_t*>(base + off);
-      }
+    // WILLNEED alone is asynchronous and may be ignored: one volatile
+    // load per page forces the fault to complete here, on prefetcher
+    // time. The loads race queries and the eviction clock harmlessly:
+    // the mapping is immutable and evicted pages refault.
+    const size_t page = MappedFile::PageSize();
+    const uint8_t* base = map_->data();
+    const size_t end = std::min(map_->size(), r.offset + r.len);
+    for (size_t off = r.offset / page * page; off < end; off += page) {
+      (void)*static_cast<const volatile uint8_t*>(base + off);
     }
     issued_.fetch_add(1, std::memory_order_relaxed);
     bytes_.fetch_add(r.len, std::memory_order_relaxed);

@@ -28,15 +28,12 @@ namespace xmem {
 /// regardless, so a dropped hint costs latency, never correctness).
 class AsyncPrefetcher {
  public:
-  struct Options {
-    int threads = 2;
-    size_t queue_capacity = 4096;
-    /// Touch one byte per page after WILLNEED so the fault completes on
-    /// the worker (WILLNEED alone is asynchronous and may be ignored).
-    bool touch_pages = true;
-  };
+  /// Worker threads faulting hinted ranges in.
+  static constexpr int kThreads = 2;
+  /// Pending hints beyond this are dropped (and counted).
+  static constexpr size_t kQueueCapacity = 4096;
 
-  AsyncPrefetcher(const MappedFile* map, const Options& opts);
+  explicit AsyncPrefetcher(const MappedFile* map);
   ~AsyncPrefetcher();
 
   AsyncPrefetcher(const AsyncPrefetcher&) = delete;
@@ -65,7 +62,6 @@ class AsyncPrefetcher {
   void WorkerLoop();
 
   const MappedFile* map_;
-  Options opts_;
   std::mutex mu_;
   std::condition_variable work_cv_;   ///< workers wait for ranges
   std::condition_variable drain_cv_;  ///< Drain waits for quiescence

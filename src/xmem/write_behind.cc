@@ -106,9 +106,8 @@ bool ReadLogImage(const std::string& path, std::vector<uint8_t>* image,
 
 }  // namespace
 
-WriteBehindBuffer::WriteBehindBuffer(std::string path, std::FILE* f,
-                                     const Options& opts)
-    : path_(std::move(path)), file_(f), opts_(opts) {
+WriteBehindBuffer::WriteBehindBuffer(std::string path, std::FILE* f)
+    : path_(std::move(path)), file_(f) {
   MetricsRegistry& reg = MetricsRegistry::Global();
   m_records_ = &reg.GetCounter("xmem.writebehind.records");
   m_bytes_ = &reg.GetCounter("xmem.writebehind.bytes");
@@ -116,7 +115,7 @@ WriteBehindBuffer::WriteBehindBuffer(std::string path, std::FILE* f,
 }
 
 std::unique_ptr<WriteBehindBuffer> WriteBehindBuffer::Open(
-    const std::string& path, const Options& opts, std::string* error) {
+    const std::string& path, std::string* error) {
   // "a+b" creates the file when absent and positions every write at the
   // tail — the log is strictly append-only.
   std::FILE* f = std::fopen(path.c_str(), "a+b");
@@ -154,7 +153,7 @@ std::unique_ptr<WriteBehindBuffer> WriteBehindBuffer::Open(
     std::fseek(f, 0, SEEK_END);
   }
   return std::unique_ptr<WriteBehindBuffer>(
-      new WriteBehindBuffer(path, f, opts));
+      new WriteBehindBuffer(path, f));
 }
 
 WriteBehindBuffer::~WriteBehindBuffer() {
@@ -182,7 +181,7 @@ bool WriteBehindBuffer::Append(const UpdateBatch& batch, bool fence) {
   bytes_ += sizeof(len) + sizeof(crc) + payload.size();
   m_records_->Add();
   m_bytes_->Add(sizeof(len) + sizeof(crc) + payload.size());
-  if (fence || group_.size() >= opts_.flush_threshold_bytes) {
+  if (fence || group_.size() >= kFlushThresholdBytes) {
     return FlushLocked();
   }
   return true;
@@ -199,7 +198,7 @@ bool WriteBehindBuffer::FlushLocked() {
     return false;
   }
   if (std::fflush(file_) != 0) return false;
-  if (opts_.sync_on_flush && ::fdatasync(::fileno(file_)) != 0) return false;
+  if (::fdatasync(::fileno(file_)) != 0) return false;
   group_.clear();
   ++flushes_;
   m_flushes_->Add();

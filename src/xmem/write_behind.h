@@ -36,22 +36,15 @@ namespace xmem {
 /// exclusive-setup operations.
 class WriteBehindBuffer {
  public:
-  struct Options {
-    /// Buffered record bytes that trigger an automatic group flush.
-    size_t flush_threshold_bytes = 1 << 20;
-    /// fdatasync after every group flush (off only for benches that
-    /// measure pure buffering).
-    bool sync_on_flush = true;
-  };
+  /// Buffered record bytes that trigger an automatic group flush.
+  static constexpr size_t kFlushThresholdBytes = 1 << 20;
 
   /// Opens (creating if absent) the log at `path` for appending. The
   /// file must be empty, a valid log, or freshly Recover()ed — Open
   /// validates the header but does not scan records. nullptr with a
   /// diagnostic in `*error` (if non-null) on I/O failure or a foreign
-  /// file. (No default for `opts` — a nested class cannot default-
-  /// construct itself in its own member declarations.)
+  /// file.
   static std::unique_ptr<WriteBehindBuffer> Open(const std::string& path,
-                                                 const Options& opts,
                                                  std::string* error = nullptr);
 
   ~WriteBehindBuffer();
@@ -65,7 +58,7 @@ class WriteBehindBuffer {
   bool Append(const UpdateBatch& batch, bool fence = false);
 
   /// Writes the buffered group to the file (one ordered write +
-  /// optional fdatasync). False on I/O failure.
+  /// fdatasync). False on I/O failure.
   bool Flush();
 
   /// Empties the log (after a checkpoint made its records redundant).
@@ -95,14 +88,13 @@ class WriteBehindBuffer {
                        std::string* error = nullptr);
 
  private:
-  WriteBehindBuffer(std::string path, std::FILE* f, const Options& opts);
+  WriteBehindBuffer(std::string path, std::FILE* f);
 
   bool FlushLocked();
 
   std::mutex mu_;
   std::string path_;
   std::FILE* file_ = nullptr;
-  Options opts_;
   std::vector<uint8_t> group_;  ///< serialized records awaiting flush
   uint64_t records_ = 0;
   uint64_t bytes_ = 0;

@@ -7,15 +7,19 @@
 #include "exec/batch_query_engine.h"
 
 #include <atomic>
+#include <cstdio>
 #include <cstring>
 #include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "baselines/factory.h"
 #include "data/generators.h"
 #include "gtest/gtest.h"
-#include "storage/disk_backed_blocks.h"
+#include "io/index_container.h"
+#include "io/mapped_file.h"
+#include "xmem/external_index.h"
 
 namespace rsmi {
 namespace {
@@ -232,34 +236,52 @@ TEST(ConcurrencyTest, ShardedIndexEightThreadFanOutMatchesGroundTruth) {
 }
 
 TEST(ConcurrencyTest, ExternalMemoryHookIsThreadSafe) {
-  // The access hook routes every counted block access through the
-  // BufferPool over a PagedFile; with a tiny pool every thread faults
-  // pages in and out concurrently — the TSan run of this test is the
-  // proof that pool + file locking make external-memory reads safe.
+  // Every counted block access of a mapped index runs the BlockStore
+  // access hook, which marks the residency clock's reference bits while
+  // the governor's background thread evicts chunks under a one-page
+  // budget — so readers keep refaulting pages the clock just dropped.
+  // The TSan run of this test is the proof that hook and clock are
+  // race-free; the replays prove eviction never changes an answer.
   const auto data = GenerateDataset(Distribution::kUniform, 1500, 13);
-  const auto index = MakeIndex(IndexKind::kGrid, data, TestConfig());
-  const std::string path =
-      ::testing::TempDir() + "/concurrency_hook.pag";
-  auto disk = DiskBackedBlocks::Attach(&index->block_store(), path,
-                                       /*pool_pages=*/4);
-  ASSERT_NE(disk, nullptr);
+  const auto built = MakeIndex(IndexKind::kGrid, data, TestConfig());
+  const std::string path = ::testing::TempDir() + "/concurrency_hook.idx";
+  std::string err;
+  ASSERT_TRUE(SaveIndex(*built, path, &err)) << err;
+  const auto eager = LoadIndex(path, &err);
+  ASSERT_NE(eager, nullptr) << err;
+
+  xmem::XmemOptions opts;
+  opts.apply_env_overrides = false;
+  opts.write_behind = false;
+  opts.chunk_bytes = MappedFile::PageSize();
+  opts.rss_budget_bytes = opts.chunk_bytes;
+  opts.governor_interval_ms = 1;
+  const auto mapped = xmem::ExternalIndex::Open(path, opts, &err);
+  ASSERT_NE(mapped, nullptr) << err;
 
   const auto ops = TestWorkload(data);
-  const std::vector<uint64_t> truth = Replay(*index, ops, nullptr);
+  const std::vector<uint64_t> truth = Replay(*eager, ops, nullptr);
 
-  std::vector<std::vector<uint64_t>> got(kThreads);
+  // Readers keep replaying until the clock has evicted at least once, so
+  // the race window is exercised however the scheduler interleaves.
+  std::vector<int> mismatches(kThreads, 0);
   std::vector<std::thread> threads;
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&, t] {
-      got[static_cast<size_t>(t)] = Replay(*index, ops, nullptr);
+      int rounds = 0;
+      do {
+        if (Replay(*mapped, ops, nullptr) != truth) {
+          ++mismatches[static_cast<size_t>(t)];
+        }
+      } while (mapped->governor().evictions() == 0 && ++rounds < 50);
     });
   }
   for (auto& th : threads) th.join();
   for (int t = 0; t < kThreads; ++t) {
-    EXPECT_EQ(got[static_cast<size_t>(t)], truth) << "thread " << t;
+    EXPECT_EQ(mismatches[static_cast<size_t>(t)], 0) << "thread " << t;
   }
-  EXPECT_FALSE(disk->io_error());
-  EXPECT_GT(disk->pool_stats().misses, 0u);
+  EXPECT_GT(mapped->governor().evictions(), 0u);
+  std::remove(path.c_str());
 }
 
 TEST(BatchQueryEngineTest, MatchesSingleThreadedTotals) {

@@ -2,7 +2,9 @@
 
 #include <cstdio>
 #include <string>
+#include <vector>
 
+#include "common/crc32.h"
 #include "data/generators.h"
 #include "gtest/gtest.h"
 
@@ -79,6 +81,32 @@ TEST(IoTest, BinaryAppendsToExistingVector) {
   ASSERT_TRUE(LoadPointsBinary(path, &loaded));
   EXPECT_EQ(loaded.size(), 101u);
   std::remove(path.c_str());
+}
+
+// CRC-32 guards index-container payloads and write-behind log records.
+
+TEST(Crc32Test, KnownVector) {
+  // The standard test vector: CRC-32("123456789") = 0xCBF43926.
+  EXPECT_EQ(Crc32("123456789", 9), 0xCBF43926u);
+}
+
+TEST(Crc32Test, SeedChainsIncrementally) {
+  const char* s = "hello, paged world";
+  const uint32_t whole = Crc32(s, 18);
+  const uint32_t first = Crc32(s, 7);
+  EXPECT_EQ(Crc32(s + 7, 11, first), whole);
+}
+
+TEST(Crc32Test, DetectsSingleBitFlip) {
+  std::vector<unsigned char> buf(512);
+  unsigned x = 3 * 2654435761u + 1;
+  for (auto& b : buf) {
+    x = x * 1664525u + 1013904223u;
+    b = static_cast<unsigned char>(x >> 24);
+  }
+  const uint32_t before = Crc32(buf.data(), buf.size());
+  buf[137] ^= 0x10;
+  EXPECT_NE(Crc32(buf.data(), buf.size()), before);
 }
 
 }  // namespace

@@ -4,7 +4,8 @@
 // eagerly — across all persistable specs, with prefetch on or off, and
 // before/after budget-enforced eviction. The write-behind log must
 // recover to a state byte-identical to synchronous application,
-// truncating torn tails instead of half-applying them.
+// truncating torn tails instead of half-applying them. The opt-in CRC
+// sweep must refuse a corrupted payload that the default lazy open serves.
 #include <unistd.h>
 
 #include <cstdint>
@@ -270,6 +271,62 @@ TEST(XmemTest, BudgetEnforcementEvictsAndQueriesRefault) {
   // Evicted pages refault on demand: answers and counters unchanged.
   ExpectSameTrace(before,
                   RunBattery(*mapped, w.probes, w.windows, w.knn_queries));
+  std::remove(path.c_str());
+}
+
+TEST(XmemTest, IntegrityFlagsRefuseCorruptionAndKeepParity) {
+  const Workload w = MakeWorkload(2000, 41);
+  auto built = MakeIndexFromSpec("rsmi", w.data, SpecConfig());
+  const std::string path = TempPath("xmem_integrity.idx");
+  std::string err;
+  ASSERT_TRUE(SaveIndex(*built, path, &err)) << err;
+  auto eager = LoadIndex(path, &err);
+  ASSERT_NE(eager, nullptr) << err;
+
+  // On a valid container both integrity checks pass, and the validated
+  // mapping still answers bit-identically to the eager load.
+  xmem::XmemOptions checked = TestXmemOptions();
+  checked.verify_crc = true;
+  checked.deep_validate = true;
+  size_t entry_offset = 0;
+  {
+    auto mapped = xmem::ExternalIndex::Open(path, checked, &err);
+    ASSERT_NE(mapped, nullptr) << err;
+    ExpectSameTrace(RunBattery(*eager, w.probes, w.windows, w.knn_queries),
+                    RunBattery(*mapped, w.probes, w.windows, w.knn_queries));
+    const BlockStore& store = mapped->block_store();
+    for (size_t id = 0; id < store.NumBlocks(); ++id) {
+      const Block& b = store.Peek(static_cast<int>(id));
+      if (b.entries.empty() || !b.entries.borrowed()) continue;
+      entry_offset = static_cast<size_t>(
+          reinterpret_cast<const uint8_t*>(b.entries.data()) -
+          mapped->container().map().data());
+      break;
+    }
+  }
+  ASSERT_GT(entry_offset, 0u);
+
+  // Flip the low mantissa byte of one stored coordinate: the payload no
+  // longer matches its CRC, but every structural field is intact.
+  {
+    std::FILE* f = std::fopen(path.c_str(), "rb+");
+    ASSERT_NE(f, nullptr);
+    ASSERT_EQ(std::fseek(f, static_cast<long>(entry_offset), SEEK_SET), 0);
+    const int byte = std::fgetc(f);
+    ASSERT_NE(byte, EOF);
+    ASSERT_EQ(std::fseek(f, static_cast<long>(entry_offset), SEEK_SET), 0);
+    ASSERT_NE(std::fputc(byte ^ 0x01, f), EOF);
+    std::fclose(f);
+  }
+  xmem::XmemOptions crc = TestXmemOptions();
+  crc.verify_crc = true;
+  EXPECT_EQ(xmem::ExternalIndex::Open(path, crc, &err), nullptr);
+  EXPECT_NE(err.find("checksum mismatch"), std::string::npos) << err;
+  // The default lazy open skips the sweep and serves the file.
+  err.clear();
+  EXPECT_NE(xmem::ExternalIndex::Open(path, TestXmemOptions(), &err),
+            nullptr)
+      << err;
   std::remove(path.c_str());
 }
 

@@ -39,8 +39,9 @@
 #                 5% untraced overhead via check_bench_regression.py
 #                 --obs; the traced server cells are recorded only)
 #                 and DIR/bench_xmem.json (beyond-RAM cold queries
-#                 through the mmap backend, prefetch on vs off; parity
-#                 asserted inside the bench, latency recorded via
+#                 through the mmap backend, prefetch on vs off, plus the
+#                 RSS-budget window sweep; parity asserted inside the
+#                 bench, cold latency recorded via
 #                 check_bench_regression.py --xmem, not gated).
 #                 Gate against the committed bench/BENCH_BASELINE.json
 #                 with tools/check_bench_regression.py --baseline, or
