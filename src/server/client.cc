@@ -35,8 +35,9 @@ std::unique_ptr<ServerClient> ServerClient::Connect(const std::string& host,
     ::close(fd);
     return fail("connect: " + why);
   }
-  // Request frames are small; batching them behind Nagle would serialize
-  // the server's coalescing opportunity instead of feeding it.
+  // Request frames are small and each goes out in one write; batching
+  // them behind Nagle would serialize the server's coalescing
+  // opportunity instead of feeding it.
   const int one = 1;
   ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
   return std::unique_ptr<ServerClient>(new ServerClient(fd));
@@ -48,6 +49,9 @@ ServerClient::~ServerClient() {
 
 bool ServerClient::Send(const Request& req) {
   const std::vector<uint8_t> payload = EncodeRequest(req);
+  // The server cannot resynchronize past an oversized frame and would
+  // drop the whole connection; refuse it here and keep the connection.
+  if (payload.size() > kMaxRequestFrameBytes) return false;
   return WriteFrame(fd_, payload.data(), payload.size());
 }
 

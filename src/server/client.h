@@ -25,7 +25,9 @@ class ServerClient {
   ServerClient(const ServerClient&) = delete;
   ServerClient& operator=(const ServerClient&) = delete;
 
-  /// Frames and sends one request. False on a broken connection.
+  /// Frames and sends one request. False on a broken connection, and —
+  /// with nothing written, the connection still usable — when the
+  /// encoded request exceeds kMaxRequestFrameBytes.
   bool Send(const Request& req);
   /// Blocks for the next response frame. False on EOF, error, or an
   /// undecodable frame.

@@ -7,6 +7,7 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -24,6 +25,19 @@ Response ErrorResponse(uint64_t id, StatusCode status, std::string message) {
   resp.status = status;
   resp.message = std::move(message);
   return resp;
+}
+
+/// Encodes `resp` for the wire. A reply over the client's frame cap
+/// (a huge window) would be refused by the client and fail the call, so
+/// it is answered with a kInternal error instead.
+std::vector<uint8_t> EncodeReply(const Response& resp) {
+  std::vector<uint8_t> payload = EncodeResponse(resp);
+  if (payload.size() > kMaxResponseFrameBytes) {
+    payload = EncodeResponse(
+        ErrorResponse(resp.id, StatusCode::kInternal,
+                      "response exceeds the 256 MiB frame cap"));
+  }
+  return payload;
 }
 
 uint64_t ToUs(std::chrono::steady_clock::duration d) {
@@ -211,6 +225,10 @@ void SpatialServer::AcceptLoop() {
       ::close(fd);
       return;
     }
+    // Replies are small and each goes out in one write: Nagle would only
+    // hold one back until the client's delayed ACK (~40 ms).
+    const int one = 1;
+    ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
     auto conn = std::make_shared<Connection>();
     conn->fd = fd;
     std::lock_guard<std::mutex> lock(conns_mu_);
@@ -342,7 +360,7 @@ void SpatialServer::WorkerLoop() {
 }
 
 void SpatialServer::SendResponse(Connection& conn, const Response& resp) {
-  const std::vector<uint8_t> payload = EncodeResponse(resp);
+  const std::vector<uint8_t> payload = EncodeReply(resp);
   std::lock_guard<std::mutex> lock(conn.write_mu);
   if (WriteFrame(conn.fd, payload.data(), payload.size())) {
     responses_->Add();

@@ -64,6 +64,11 @@ struct ServerStats {
 /// one acceptor thread, one reader thread per connection, and a fixed
 /// worker pool draining a shared admission queue.
 ///
+/// Every accepted socket sets `TCP_NODELAY` and every response frame is
+/// one gathered write, so a reply is on the wire as one segment as soon
+/// as it is encoded (no Nagle/delayed-ACK stall between the length
+/// prefix and the payload).
+///
 /// The admission path is the point of the design. Independent in-flight
 /// point requests — across connections — are coalesced into one
 /// PointQueryBatch group per worker grab, so unrelated clients feed the
@@ -177,6 +182,7 @@ class SpatialServer {
   void WorkerLoop();
 
   void Enqueue(Pending p);
+  /// Encodes and writes one response frame (one segment on the wire).
   void SendResponse(Connection& conn, const Response& resp);
   /// Executes one non-point request (window/kNN/write/reload/stats).
   void ExecuteSingle(const Pending& p);

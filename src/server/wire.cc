@@ -4,6 +4,7 @@
 #include <cstring>
 
 #include <sys/socket.h>
+#include <sys/uio.h>
 #include <unistd.h>
 
 #include "io/serializer.h"
@@ -164,20 +165,43 @@ bool ReadExact(int fd, void* buf, size_t n) {
   return true;
 }
 
-bool WriteAll(int fd, const void* buf, size_t n) {
-  const auto* p = static_cast<const uint8_t*>(buf);
-  size_t done = 0;
-  while (done < n) {
-    // send + MSG_NOSIGNAL instead of write: a peer that closed mid-reply
-    // must fail the call, not raise SIGPIPE at the whole process.
-    const ssize_t r = ::send(fd, p + done, n - done, MSG_NOSIGNAL);
-    if (r > 0) {
-      done += static_cast<size_t>(r);
-    } else if (r < 0 && errno != EINTR) {
+namespace {
+
+/// Sends every byte of `iov[0, count)` with gathered writes, resuming
+/// mid-iovec after a short write. send + MSG_NOSIGNAL semantics: a peer
+/// that closed mid-reply fails the call instead of raising SIGPIPE at
+/// the whole process.
+bool SendAll(int fd, iovec* iov, size_t count) {
+  msghdr msg{};
+  while (count > 0) {
+    msg.msg_iov = iov;
+    msg.msg_iovlen = count;
+    const ssize_t r = ::sendmsg(fd, &msg, MSG_NOSIGNAL);
+    if (r < 0) {
+      if (errno == EINTR) continue;
       return false;
+    }
+    // Skip what went out in full (zero-length iovecs included), then
+    // trim the one the write stopped inside — possibly a length prefix.
+    size_t sent = static_cast<size_t>(r);
+    while (count > 0 && sent >= iov->iov_len) {
+      sent -= iov->iov_len;
+      ++iov;
+      --count;
+    }
+    if (sent > 0) {
+      iov->iov_base = static_cast<uint8_t*>(iov->iov_base) + sent;
+      iov->iov_len -= sent;
     }
   }
   return true;
+}
+
+}  // namespace
+
+bool WriteAll(int fd, const void* buf, size_t n) {
+  iovec iov{const_cast<void*>(buf), n};
+  return SendAll(fd, &iov, 1);
 }
 
 FrameReadResult ReadFrame(int fd, uint32_t max_payload,
@@ -207,11 +231,11 @@ FrameReadResult ReadFrame(int fd, uint32_t max_payload,
 }
 
 bool WriteFrame(int fd, const uint8_t* payload, size_t n) {
-  const uint32_t len = static_cast<uint32_t>(n);
-  uint8_t prefix[4];
-  std::memcpy(prefix, &len, sizeof(prefix));
-  if (!WriteAll(fd, prefix, sizeof(prefix))) return false;
-  return n == 0 || WriteAll(fd, payload, n);
+  if (n > UINT32_MAX) return false;
+  uint32_t len = static_cast<uint32_t>(n);
+  iovec iov[2] = {{&len, sizeof(len)},
+                  {const_cast<uint8_t*>(payload), n}};
+  return SendAll(fd, iov, 2);
 }
 
 }  // namespace rsmi

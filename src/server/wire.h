@@ -35,13 +35,20 @@ namespace rsmi {
 /// list rides on every request for uniformity but is only non-empty on
 /// kUpdateBatch (ops are encoded field-wise — UpdateOp has padding).
 ///
+/// Each frame leaves its writer in one gathered `sendmsg` (prefix and
+/// payload as two iovecs, no copy), and both ends set `TCP_NODELAY`, so
+/// a small frame is one segment on the wire at once. Two separate
+/// writes with Nagle on would hold the payload until the peer ACKs the
+/// prefix — a delayed-ACK stall of ~40 ms per call-reply round trip.
+///
 /// A frame whose length prefix exceeds the cap is a protocol violation
 /// (the connection cannot be resynchronized — the server closes it); a
 /// frame whose *payload* fails to decode is a per-request error (the
 /// server answers kInvalidArgument and keeps the connection).
 
 /// Cap on request frames the server accepts. The largest legal request
-/// is an update batch (~58k ops fit); clients split bigger batches.
+/// is an update batch (~61k ops fit); ServerClient::Send refuses a
+/// bigger one without writing, so callers split bigger batches.
 constexpr uint32_t kMaxRequestFrameBytes = 1u << 20;
 /// Cap on response frames the client accepts: window results over a
 /// dense region can run to millions of points.
@@ -79,7 +86,10 @@ bool WriteAll(int fd, const void* buf, size_t n);
 /// Reads one length-prefixed frame into `*payload`.
 FrameReadResult ReadFrame(int fd, uint32_t max_payload,
                           std::vector<uint8_t>* payload);
-/// Writes one length-prefixed frame.
+/// Writes one length-prefixed frame with one gathered `sendmsg`
+/// (resuming after short writes, EINTR, and never raising SIGPIPE).
+/// False on a socket error, and — with nothing written — when `n` does
+/// not fit the 32-bit length prefix.
 bool WriteFrame(int fd, const uint8_t* payload, size_t n);
 
 }  // namespace rsmi

@@ -1,10 +1,14 @@
-// Spatial query server tests: wire round-trips, concurrent coalesced
-// serving bit-identical to direct index queries (results AND
-// QueryContext counters), admission deadlines, atomic reload under
-// load, malformed-frame handling, and graceful drain. Everything runs
-// against an in-process SpatialServer on an ephemeral loopback port.
+// Spatial query server tests: wire round-trips, gathered frame writes,
+// concurrent coalesced serving bit-identical to direct index queries
+// (results AND QueryContext counters), admission deadlines, atomic
+// reload under load, malformed-frame handling, graceful drain, and
+// call-reply latency free of the Nagle/delayed-ACK stall. Server tests
+// run against an in-process SpatialServer on an ephemeral loopback
+// port.
 #include <atomic>
+#include <cerrno>
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
 #include <memory>
 #include <optional>
@@ -12,6 +16,9 @@
 #include <thread>
 #include <vector>
 
+#include <pthread.h>
+#include <signal.h>
+#include <sys/socket.h>
 #include <unistd.h>
 
 #include "baselines/factory.h"
@@ -136,6 +143,115 @@ TEST(WireTest, RejectsMalformedPayloads) {
   bad = payload;
   bad.push_back(0);
   EXPECT_FALSE(DecodeRequest(bad.data(), bad.size(), &out));
+}
+
+/// A connected AF_UNIX stream pair, closed on destruction.
+struct SocketPair {
+  int fd[2] = {-1, -1};
+  SocketPair() { EXPECT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fd), 0); }
+  ~SocketPair() {
+    for (int f : fd) {
+      if (f >= 0) ::close(f);
+    }
+  }
+};
+
+std::vector<uint8_t> PatternBytes(size_t n, uint8_t salt) {
+  std::vector<uint8_t> v(n);
+  for (size_t i = 0; i < n; ++i) {
+    v[i] = static_cast<uint8_t>(i * 31 + (i >> 8) + salt);
+  }
+  return v;
+}
+
+void NoopHandler(int) {}
+
+TEST(WireTest, WriteFrameRefusesPayloadsOverTheLengthPrefix) {
+  SocketPair sp;
+  // The payload is never touched: the bound is checked before any byte
+  // is written, so a one-byte buffer stands in for 4 GiB.
+  const uint8_t byte = 0;
+  const size_t too_big = size_t{UINT32_MAX} + 1;
+  EXPECT_FALSE(WriteFrame(sp.fd[0], &byte, too_big));
+  uint8_t probe = 0;
+  EXPECT_EQ(::recv(sp.fd[1], &probe, 1, MSG_DONTWAIT), -1);
+  EXPECT_TRUE(errno == EAGAIN || errno == EWOULDBLOCK);
+}
+
+TEST(WireTest, GatheredFrameWritesReadBackByteIdenticalThroughShortWrites) {
+  SocketPair sp;
+  // A tiny send buffer makes the writes block over and over; a signal
+  // without SA_RESTART interrupting a blocked sendmsg returns a short
+  // count (or EINTR when nothing went out yet), so the resume path runs
+  // at many offsets. (A short count inside the 4-byte prefix itself
+  // cannot be provoked here: the kernel takes the first 2 KiB or more of
+  // a write at once. The resume code does not tell the iovecs apart.)
+  const int sndbuf = 4096;
+  ASSERT_EQ(::setsockopt(sp.fd[0], SOL_SOCKET, SO_SNDBUF, &sndbuf,
+                         sizeof(sndbuf)),
+            0);
+  struct sigaction sa {};
+  struct sigaction old_sa {};
+  sa.sa_handler = NoopHandler;
+  sigemptyset(&sa.sa_mask);
+  sa.sa_flags = 0;
+  ASSERT_EQ(::sigaction(SIGUSR1, &sa, &old_sa), 0);
+
+  std::vector<std::vector<uint8_t>> frames;
+  for (size_t n : {size_t{0}, size_t{1}, size_t{4096}, size_t{8} << 20}) {
+    frames.push_back(PatternBytes(n, static_cast<uint8_t>(frames.size())));
+  }
+  // A run of small frames of odd sizes, empty ones included: they fill
+  // the buffer behind each other, so many block and see EINTR.
+  for (size_t i = 0; i < 1500; ++i) {
+    frames.push_back(PatternBytes((i * 37) % 211, static_cast<uint8_t>(i)));
+  }
+  std::vector<std::vector<uint8_t>> received;
+  std::thread reader([&] {
+    std::vector<uint8_t> payload;
+    while (ReadFrame(sp.fd[1], 16u << 20, &payload) == FrameReadResult::kOk) {
+      received.push_back(payload);
+    }
+    // Drain whatever a corrupted stream left, so the writer never
+    // blocks on a full socket.
+    uint8_t sink[4096];
+    while (::read(sp.fd[1], sink, sizeof(sink)) > 0) {
+    }
+  });
+  std::atomic<bool> writing{true};
+  const pthread_t writer = ::pthread_self();
+  std::thread interrupter([&] {
+    while (writing.load()) {
+      ::pthread_kill(writer, SIGUSR1);
+      std::this_thread::sleep_for(std::chrono::microseconds(50));
+    }
+  });
+
+  for (const auto& p : frames) {
+    EXPECT_TRUE(WriteFrame(sp.fd[0], p.data(), p.size()));
+  }
+  writing.store(false);
+  // EOF ends the reader, also when a corrupted prefix left it waiting
+  // for bytes that never come.
+  ::shutdown(sp.fd[0], SHUT_WR);
+  interrupter.join();
+  reader.join();
+  ASSERT_EQ(::sigaction(SIGUSR1, &old_sa, nullptr), 0);
+
+  ASSERT_EQ(received.size(), frames.size());
+  for (size_t i = 0; i < frames.size(); ++i) {
+    EXPECT_EQ(received[i], frames[i]) << "frame " << i;
+  }
+}
+
+TEST(WireTest, WritingToAClosedPeerFailsWithoutSigpipe) {
+  SocketPair sp;
+  ::close(sp.fd[1]);
+  sp.fd[1] = -1;
+  // SIGPIPE's default action would kill the test binary here.
+  const std::vector<uint8_t> payload = PatternBytes(64, 1);
+  EXPECT_FALSE(WriteFrame(sp.fd[0], payload.data(), payload.size()));
+  EXPECT_FALSE(WriteAll(sp.fd[0], payload.data(), payload.size()));
 }
 
 class ServerTest : public ::testing::Test {
@@ -404,6 +520,53 @@ TEST_F(ServerTest, MalformedFramesAreRejectedWithoutKillingTheConnection) {
   ASSERT_TRUE(WriteAll(client3->fd(), partial, sizeof(partial)));
   client3.reset();
   ASSERT_TRUE(client2->Call(Request::PointLookup(data[1], 7), &ok));
+  server->Stop();
+}
+
+TEST_F(ServerTest, SmallRepliesDoNotWaitForDelayedAck) {
+  const auto data = MakeData(1500, 17);
+  const std::string path = BuildAndSave(data, "serve_nodelay.idx");
+  auto server = StartServer(path, /*threads=*/2);
+  auto client = Connect(*server);
+  ASSERT_NE(client, nullptr);
+
+  // Strict call-reply: the client only sends once the previous reply is
+  // in, so a reply held back for a delayed ACK (~40 ms each) would take
+  // this loop to ~8 s; microsecond round trips finish far below 2 s.
+  constexpr size_t kCalls = 200;
+  const auto start = std::chrono::steady_clock::now();
+  for (size_t i = 0; i < kCalls; ++i) {
+    Response resp;
+    ASSERT_TRUE(client->Call(Request::PointLookup(data[i], i), &resp));
+    ASSERT_EQ(resp.status, StatusCode::kOk);
+  }
+  const auto elapsed = std::chrono::steady_clock::now() - start;
+  EXPECT_LT(elapsed, std::chrono::seconds(2))
+      << std::chrono::duration_cast<std::chrono::milliseconds>(elapsed)
+             .count()
+      << " ms for " << kCalls << " sequential calls";
+  server->Stop();
+}
+
+TEST_F(ServerTest, OversizeRequestFailsOnTheClientAndKeepsTheConnection) {
+  const auto data = MakeData(1500, 19);
+  const std::string path = BuildAndSave(data, "serve_oversize.idx");
+  auto server = StartServer(path, /*threads=*/2);
+  auto client = Connect(*server);
+  ASSERT_NE(client, nullptr);
+
+  // 17 bytes an op: 70,000 ops encode past the 1 MiB request cap.
+  UpdateBatch batch;
+  for (size_t i = 0; i < 70000; ++i) batch.Insert({0.5, 0.5});
+  const Request big = Request::Updates(std::move(batch));
+  ASSERT_GT(EncodeRequest(big).size(), kMaxRequestFrameBytes);
+  EXPECT_FALSE(client->Send(big));
+
+  // Nothing was written, so the connection is still in frame sync.
+  Response ok;
+  ASSERT_TRUE(client->Call(Request::PointLookup(data[0], 9), &ok));
+  EXPECT_EQ(ok.status, StatusCode::kOk);
+  EXPECT_EQ(server->stats().requests_rejected, 0u);
   server->Stop();
 }
 

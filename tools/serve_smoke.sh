@@ -3,12 +3,14 @@
 # file, start `rsmi_cli serve` on an ephemeral port, drive it with
 # `rsmi_cli loadgen`, scrape the kStats op and reconcile the server-side
 # counters against what loadgen sent (admitted == sent, zero deadline
-# overruns), probe correctness by comparing a remote point lookup
-# against the same lookup on a locally loaded copy, and check graceful
-# shutdown (SIGTERM -> drain -> exit 0). Registered with ctest (label
-# "serve") so it runs in the Release AND Debug CI legs; the loadgen and
-# stats JSON land in OUT_DIR, which CI uploads as artifacts and records
-# (non-gating) via check_bench_regression.py --serve.
+# overruns), check that a low-rate stream is not stalled by delayed
+# ACKs (median under 10 ms), probe correctness by comparing a remote
+# point lookup against the same lookup on a locally loaded copy, and
+# check graceful shutdown (SIGTERM -> drain -> exit 0). Registered with
+# ctest (label "serve") so it runs in the Release AND Debug CI legs;
+# the loadgen and stats JSON land in OUT_DIR, which CI uploads as
+# artifacts and records (non-gating) via check_bench_regression.py
+# --serve.
 #
 # Usage: serve_smoke.sh RSMI_CLI OUT_DIR
 set -euo pipefail
@@ -98,6 +100,21 @@ grep -q '"slow_queries": \[' "$out_dir/stats.json" \
   || fail "stats scrape is missing the slow-query log"
 grep -q '^server_requests_admitted ' "$out_dir/stats.prom" \
   || fail "prometheus exposition is missing server_requests_admitted"
+
+# Latency at a low rate: one connection, requests ~33 ms apart. That is
+# inside the ~40 ms delayed-ACK window, so the client stays in
+# delayed-ACK mode and ACKs a reply's first segment only with its next
+# request. A reply split over two writes with Nagle on waits for that
+# ACK (median ~33 ms); one segment per frame answers in well under a
+# millisecond. (At 20/s, 50 ms apart, Linux puts the client back in
+# quick-ACK mode between requests and the stall does not show.)
+"$cli" loadgen --data="$data" --port="$port" --qps=30 --duration=2 \
+  --connections=1 --out="$out_dir/loadgen_slow.json" > /dev/null
+slow_p50="$(sed -n 's/.*"p50_us": \([0-9]*\).*/\1/p' \
+  "$out_dir/loadgen_slow.json")"
+[[ -n "$slow_p50" ]] || fail "could not extract p50_us of the low-rate run"
+(( slow_p50 < 10000 )) \
+  || fail "low-rate p50_us=$slow_p50 (>= 10000): replies wait for delayed ACKs"
 
 # Correctness probe: a stored coordinate (printed at %.17g, which
 # round-trips the double exactly) must come back identically from the
