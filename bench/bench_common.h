@@ -140,8 +140,11 @@ class Context {
                     .first;
         }
         e.build_seconds = sit->second.build_seconds;
-        e.index = kind == IndexKind::kRsmia ? MakeRsmiaView(sit->second.impl)
-                                            : MakeRsmiView(sit->second.impl);
+        if (kind == IndexKind::kRsmia) {
+          e.index = MakeRsmiaView(sit->second.impl);
+        } else {
+          e.index = sit->second.impl;
+        }
       } else {
         WallTimer t;
         e.index = MakeIndex(kind, data, BuildConfig());
@@ -161,7 +164,7 @@ class Context {
 
  private:
   struct Entry {
-    std::unique_ptr<SpatialIndex> index;
+    std::shared_ptr<SpatialIndex> index;
     double build_seconds = 0.0;
   };
   struct SharedRsmi {
@@ -181,7 +184,19 @@ struct QueryMetrics {
   double blocks_per_query = 0.0;
   double recall = 1.0;
   double results_per_query = 0.0;
+  /// The paper's "average depth" (Section 6.2.2): sub-models invoked per
+  /// root-to-leaf descent; 0 for indices that do not descend models.
+  double depth_per_query = 0.0;
 };
+
+/// Fills the cost fields of `m` from the workload's summed context.
+inline void SetCosts(QueryMetrics* m, const QueryContext& ctx, size_t n) {
+  m->blocks_per_query = static_cast<double>(ctx.block_accesses) / n;
+  m->depth_per_query = ctx.descents == 0
+                           ? 0.0
+                           : static_cast<double>(ctx.model_invocations) /
+                                 static_cast<double>(ctx.descents);
+}
 
 inline QueryMetrics RunPointQueries(SpatialIndex* index,
                                     const std::vector<Point>& queries) {
@@ -193,10 +208,8 @@ inline QueryMetrics RunPointQueries(SpatialIndex* index,
     if (index->PointQuery(q, ctx).has_value()) ++found;
   }
   m.time_us_per_query = t.ElapsedMicros() / queries.size();
-  m.blocks_per_query =
-      static_cast<double>(ctx.block_accesses) / queries.size();
+  SetCosts(&m, ctx, queries.size());
   m.recall = static_cast<double>(found) / queries.size();
-  index->AggregateQueryContext(ctx);  // keep Stats()' avg depth fed
   return m;
 }
 
@@ -211,9 +224,7 @@ inline QueryMetrics RunWindowQueries(SpatialIndex* index,
     result_sizes[i] = index->WindowQuery(windows[i], ctx).size();
   }
   m.time_us_per_query = t.ElapsedMicros() / windows.size();
-  m.blocks_per_query =
-      static_cast<double>(ctx.block_accesses) / windows.size();
-  index->AggregateQueryContext(ctx);
+  SetCosts(&m, ctx, windows.size());
   if (truth_data != nullptr) {
     // Learned-index answers have no false positives, so recall reduces to
     // |result| / |truth| (Section 6.2.3); exact indices score 1.
@@ -243,9 +254,7 @@ inline QueryMetrics RunKnnQueries(SpatialIndex* index,
     results[i] = index->KnnQuery(queries[i], k, ctx);
   }
   m.time_us_per_query = t.ElapsedMicros() / queries.size();
-  m.blocks_per_query =
-      static_cast<double>(ctx.block_accesses) / queries.size();
-  index->AggregateQueryContext(ctx);
+  SetCosts(&m, ctx, queries.size());
   if (truth_data != nullptr) {
     double recall_sum = 0.0;
     for (size_t i = 0; i < queries.size(); ++i) {

@@ -98,7 +98,6 @@ void PointBench(benchmark::State& state, const std::string& spec) {
     index->PointQueryBatch(qs.data(), qs.size(), ctx, hits.data());
     us = t.ElapsedMicros() / static_cast<double>(qs.size());
   }
-  index->AggregateQueryContext(ctx);
   state.counters["us_per_query"] = us;
   state.counters["blocks_per_query"] =
       static_cast<double>(ctx.block_accesses) /
@@ -126,7 +125,6 @@ void WindowBench(benchmark::State& state, const std::string& spec) {
     }
     us = t.ElapsedMicros() / static_cast<double>(windows.size());
   }
-  index->AggregateQueryContext(ctx);
   state.counters["us_per_query"] = us;
   state.counters["results"] = static_cast<double>(results);
   state.counters["blocks_per_query"] =
@@ -151,7 +149,6 @@ void KnnBench(benchmark::State& state, const std::string& spec) {
     }
     us = t.ElapsedMicros() / static_cast<double>(centers.size());
   }
-  index->AggregateQueryContext(ctx);
   state.counters["us_per_query"] = us;
   state.counters["blocks_per_query"] =
       static_cast<double>(ctx.block_accesses) /

@@ -1,5 +1,6 @@
 // Table 3: impact of the RSMI partition threshold N — construction time,
-// height, index size, point-query block accesses and time.
+// height, index size, point-query block accesses, average depth
+// (sub-models invoked per descent) and time.
 #include <benchmark/benchmark.h>
 
 #include "bench_common.h"
@@ -35,6 +36,7 @@ void ThresholdBench(benchmark::State& state, int threshold) {
   state.counters["height"] = s.height;
   state.counters["size_MB"] = static_cast<double>(s.size_bytes) / 1048576.0;
   state.counters["blocks_per_query"] = m.blocks_per_query;
+  state.counters["depth"] = m.depth_per_query;
   state.counters["us_per_query"] = m.time_us_per_query;
 }
 

@@ -102,11 +102,14 @@ inline UpdateState& GetUpdateState(UpdateKind kind, Distribution dist) {
       rc.train = bc.train;
       rc.internal_sample_cap = bc.internal_sample_cap;
       rc.build_threads = bc.build_threads;
-      auto impl = std::make_shared<RsmiIndex>(data, rc);
+      auto impl = std::make_unique<RsmiIndex>(data, rc);
       st.rsmi = impl.get();
       st.periodic_rebuild = kind == UpdateKind::kRsmir;
-      st.index = kind == UpdateKind::kRsmia ? MakeRsmiaView(impl)
-                                            : MakeRsmiView(impl);
+      if (kind == UpdateKind::kRsmia) {
+        st.index = MakeRsmiaView(std::move(impl));
+      } else {
+        st.index = std::move(impl);
+      }
       break;
     }
   }

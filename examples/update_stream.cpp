@@ -57,8 +57,7 @@ int main(int argc, char** argv) {
 
     if (i % report_every == 0) {
       // Probe query health: 1000 point queries over live objects. Costs
-      // go to a per-batch QueryContext (the context-free shims would work
-      // too, but would mix these probes into the index-wide aggregate).
+      // go to one QueryContext summed over the probes.
       const auto probes = GenerateQueryPoints(live, 1000, 17 + i);
       QueryContext probe_ctx;
       WallTimer t;

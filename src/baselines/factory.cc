@@ -78,9 +78,9 @@ std::unique_ptr<SpatialIndex> MakeIndex(IndexKind kind,
       c.internal_sample_cap = cfg.internal_sample_cap;
       c.build_threads = cfg.build_threads;
       c.seed = cfg.seed;
-      auto impl = std::make_shared<RsmiIndex>(pts, c);
-      return kind == IndexKind::kRsmia ? MakeRsmiaView(std::move(impl))
-                                       : MakeRsmiView(std::move(impl));
+      auto impl = std::make_unique<RsmiIndex>(pts, c);
+      if (kind == IndexKind::kRsmi) return impl;
+      return MakeRsmiaView(std::move(impl));
     }
     case IndexKind::kZm: {
       ZmConfig c;
@@ -188,64 +188,6 @@ std::unique_ptr<SpatialIndex> MakeRsmiaView(std::shared_ptr<RsmiIndex> impl) {
   return std::make_unique<RsmiaView>(std::move(impl));
 }
 
-namespace {
-
-/// Shared-ownership pass-through with the plain (approximate) queries.
-class RsmiView : public SpatialIndex {
- public:
-  explicit RsmiView(std::shared_ptr<RsmiIndex> impl)
-      : impl_(std::move(impl)) {}
-  std::string Name() const override { return impl_->Name(); }
-  using SpatialIndex::PointQuery;
-  using SpatialIndex::WindowQuery;
-  using SpatialIndex::KnnQuery;
-  std::optional<PointEntry> PointQuery(const Point& q,
-                                       QueryContext& ctx) const override {
-    return impl_->PointQuery(q, ctx);
-  }
-  std::vector<Point> WindowQuery(const Rect& w,
-                                 QueryContext& ctx) const override {
-    return impl_->WindowQuery(w, ctx);
-  }
-  std::vector<Point> KnnQuery(const Point& q, size_t k,
-                              QueryContext& ctx) const override {
-    return impl_->KnnQuery(q, k, ctx);
-  }
-  void PointQueryBatch(const Point* qs, size_t n, QueryContext& ctx,
-                       std::optional<PointEntry>* out) const override {
-    impl_->PointQueryBatch(qs, n, ctx, out);
-  }
-  void PointQueryBatch(const Point* qs, size_t n, QueryContext* ctxs,
-                       std::optional<PointEntry>* out) const override {
-    impl_->PointQueryBatch(qs, n, ctxs, out);
-  }
-  void InsertOne(const Point& p) override { impl_->Insert(p); }
-  bool DeleteOne(const Point& p) override { return impl_->Delete(p); }
-  IndexStats Stats() const override { return impl_->Stats(); }
-  void AggregateQueryContext(const QueryContext& ctx) const override {
-    impl_->AggregateQueryContext(ctx);
-  }
-  uint64_t block_accesses() const override { return impl_->block_accesses(); }
-  const BlockStore& block_store() const override {
-    return impl_->block_store();
-  }
-
-  std::string KindSpec() const override { return "rsmi"; }
-  bool SaveTo(Serializer& out) const override { return impl_->SaveTo(out); }
-  bool LoadFrom(Deserializer& in) override { return impl_->LoadFrom(in); }
-
-  RsmiIndex* impl() { return impl_.get(); }
-
- private:
-  std::shared_ptr<RsmiIndex> impl_;
-};
-
-}  // namespace
-
-std::unique_ptr<SpatialIndex> MakeRsmiView(std::shared_ptr<RsmiIndex> impl) {
-  return std::make_unique<RsmiView>(std::move(impl));
-}
-
 std::unique_ptr<SpatialIndex> MakeIndexShellForLoad(const std::string& spec) {
   int k = 0;
   std::string inner;
@@ -282,7 +224,6 @@ std::unique_ptr<SpatialIndex> MakeIndexShellForLoad(const std::string& spec) {
 RsmiIndex* UnwrapRsmi(SpatialIndex* index) {
   if (auto* direct = dynamic_cast<RsmiIndex*>(index)) return direct;
   if (auto* rsmia = dynamic_cast<RsmiaView*>(index)) return rsmia->impl();
-  if (auto* plain = dynamic_cast<RsmiView*>(index)) return plain->impl();
   return nullptr;
 }
 

@@ -5,6 +5,7 @@
 #include <string>
 #include <vector>
 
+#include "core/forwarding_index.h"
 #include "core/rsmi_index.h"
 #include "core/spatial_index.h"
 
@@ -49,9 +50,10 @@ struct IndexBuildConfig {
   int query_threads = 1;
 };
 
-/// Builds an index of the requested kind over `pts`. For kRsmia this
-/// builds a fresh RSMI and wraps it; when benchmarking RSMI and RSMIa
-/// together, build one RsmiIndex and use MakeRsmiaView to share it.
+/// Builds an index of the requested kind over `pts`. kRsmi returns the
+/// RsmiIndex itself; kRsmia builds a fresh RSMI and wraps it. When
+/// benchmarking RSMI and RSMIa together, build one RsmiIndex, query it
+/// directly as RSMI, and use MakeRsmiaView to share it as RSMIa.
 std::unique_ptr<SpatialIndex> MakeIndex(IndexKind kind,
                                         const std::vector<Point>& pts,
                                         const IndexBuildConfig& cfg);
@@ -82,28 +84,23 @@ std::unique_ptr<SpatialIndex> MakeIndexFromSpec(const std::string& spec,
 /// unknown or non-persistable spec (e.g. "kdb", "hrr").
 std::unique_ptr<SpatialIndex> MakeIndexShellForLoad(const std::string& spec);
 
-/// The RsmiIndex behind `index` when it is an RSMI in any packaging — a
-/// plain RsmiIndex (e.g. from LoadIndex of an "rsmi" file) or one of the
-/// factory's shared-ownership views (RSMI/RSMIa); nullptr otherwise.
-/// Lets callers reach RSMI-only surface (exact queries, error bounds,
-/// RSMIr rebuilds) behind the polymorphic API.
+/// The RsmiIndex behind `index` when it is an RSMI in either packaging —
+/// a plain RsmiIndex or an RsmiaView over one; nullptr otherwise. Lets
+/// callers reach RSMI-only surface (exact queries, error bounds, RSMIr
+/// rebuilds, the prefetch hook) behind the polymorphic API.
 RsmiIndex* UnwrapRsmi(SpatialIndex* index);
 
-/// RSMIa (Section 6.2.3): a view over an RSMI whose window/kNN queries
-/// run the exact MBR-based algorithms.
-class RsmiaView : public SpatialIndex {
+/// RSMIa (Section 6.2.3): a view over a shared RSMI whose window/kNN
+/// queries run the exact MBR-based algorithms; everything else, updates
+/// and ValidateStructure included, forwards to the RSMI.
+class RsmiaView : public ForwardingIndex {
  public:
   explicit RsmiaView(std::shared_ptr<RsmiIndex> impl)
-      : impl_(std::move(impl)) {}
+      : ForwardingIndex(impl.get()), impl_(std::move(impl)) {}
 
   std::string Name() const override { return "RSMIa"; }
-  using SpatialIndex::PointQuery;
-  using SpatialIndex::WindowQuery;
-  using SpatialIndex::KnnQuery;
-  std::optional<PointEntry> PointQuery(const Point& q,
-                                       QueryContext& ctx) const override {
-    return impl_->PointQuery(q, ctx);
-  }
+  using ForwardingIndex::KnnQuery;
+  using ForwardingIndex::WindowQuery;
   std::vector<Point> WindowQuery(const Rect& w,
                                  QueryContext& ctx) const override {
     return impl_->WindowQueryExact(w, ctx);
@@ -112,34 +109,15 @@ class RsmiaView : public SpatialIndex {
                               QueryContext& ctx) const override {
     return impl_->KnnQueryExact(q, k, ctx);
   }
-  void PointQueryBatch(const Point* qs, size_t n, QueryContext& ctx,
-                       std::optional<PointEntry>* out) const override {
-    impl_->PointQueryBatch(qs, n, ctx, out);
-  }
-  void PointQueryBatch(const Point* qs, size_t n, QueryContext* ctxs,
-                       std::optional<PointEntry>* out) const override {
-    impl_->PointQueryBatch(qs, n, ctxs, out);
-  }
-  void InsertOne(const Point& p) override { impl_->Insert(p); }
-  bool DeleteOne(const Point& p) override { return impl_->Delete(p); }
   IndexStats Stats() const override {
     IndexStats s = impl_->Stats();
     s.name = Name();
     return s;
   }
-  void AggregateQueryContext(const QueryContext& ctx) const override {
-    impl_->AggregateQueryContext(ctx);
-  }
-  uint64_t block_accesses() const override { return impl_->block_accesses(); }
-  const BlockStore& block_store() const override {
-    return impl_->block_store();
-  }
 
   /// Persists/loads through the shared RSMI (the payload is exactly an
   /// "rsmi" payload; the "rsmia" spec restores the exact-query wrapper).
   std::string KindSpec() const override { return "rsmia"; }
-  bool SaveTo(Serializer& out) const override { return impl_->SaveTo(out); }
-  bool LoadFrom(Deserializer& in) override { return impl_->LoadFrom(in); }
 
   RsmiIndex* impl() { return impl_.get(); }
 
@@ -148,10 +126,6 @@ class RsmiaView : public SpatialIndex {
 };
 
 std::unique_ptr<SpatialIndex> MakeRsmiaView(std::shared_ptr<RsmiIndex> impl);
-
-/// Approximate-query (plain RSMI) view over a shared RsmiIndex, so RSMI
-/// and RSMIa can be benchmarked against one build like in the paper.
-std::unique_ptr<SpatialIndex> MakeRsmiView(std::shared_ptr<RsmiIndex> impl);
 
 }  // namespace rsmi
 

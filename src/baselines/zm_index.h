@@ -53,6 +53,7 @@ class ZmIndex : public SpatialIndex {
   std::string Name() const override { return "ZM"; }
 
   using SpatialIndex::PointQuery;
+  using SpatialIndex::PointQueryBatch;
   using SpatialIndex::WindowQuery;
   using SpatialIndex::KnnQuery;
   std::optional<PointEntry> PointQuery(const Point& q,
@@ -63,12 +64,8 @@ class ZmIndex : public SpatialIndex {
                               QueryContext& ctx) const override;
   /// Batched point lookup: one vectorized RMI descent for all `n`
   /// Z-values (levels evaluated group-wise through PredictBatch), then
-  /// the per-query binary search. Results and costs are identical to
-  /// `n` scalar PointQuery calls.
-  void PointQueryBatch(const Point* qs, size_t n, QueryContext& ctx,
-                       std::optional<PointEntry>* out) const override;
-  /// Per-op-attributed batch (see SpatialIndex): same vectorized descent,
-  /// query i's costs charged to ctxs[i].
+  /// the per-query binary search. Results and query i's costs in
+  /// ctxs[i] are identical to `n` scalar PointQuery calls.
   void PointQueryBatch(const Point* qs, size_t n, QueryContext* ctxs,
                        std::optional<PointEntry>* out) const override;
   void InsertOne(const Point& p) override;
@@ -129,12 +126,6 @@ class ZmIndex : public SpatialIndex {
   /// per-op attribution).
   void PredictBlockBatch(const uint64_t* zs, size_t n, QueryContext* ctxs,
                          size_t ctx_stride, Prediction* out) const;
-
-  /// Shared implementation behind both PointQueryBatch overloads; same
-  /// ctxs/ctx_stride convention as PredictBlockBatch.
-  void PointQueryBatchImpl(const Point* qs, size_t n, QueryContext* ctxs,
-                           size_t ctx_stride,
-                           std::optional<PointEntry>* out) const;
 
   /// The search phase of a point query, with the model prediction for
   /// `zq` already computed (shared by the scalar and batched paths).

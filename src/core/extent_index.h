@@ -55,28 +55,16 @@ class RsmiExtentIndex {
     return WindowQueryExact(Rect{p, p}, ctx);
   }
 
-  /// Context-free shims (\deprecated — fold into the legacy aggregate
-  /// like the SpatialIndex wrappers).
-  std::vector<Rect> WindowQuery(const Rect& w) const {
-    QueryContext ctx;
-    auto r = WindowQuery(w, ctx);
-    index_->AggregateQueryContext(ctx);
-    return r;
-  }
+  /// Context-free sugar: a throwaway context, result only.
   std::vector<Rect> WindowQueryExact(const Rect& w) const {
     QueryContext ctx;
-    auto r = WindowQueryExact(w, ctx);
-    index_->AggregateQueryContext(ctx);
-    return r;
+    return WindowQueryExact(w, ctx);
   }
   std::vector<Rect> StabQuery(const Point& p) const {
     QueryContext ctx;
-    auto r = StabQuery(p, ctx);
-    index_->AggregateQueryContext(ctx);
-    return r;
+    return StabQuery(p, ctx);
   }
 
-  uint64_t block_accesses() const { return index_->block_accesses(); }
   const RsmiIndex& index() const { return *index_; }
 
  private:

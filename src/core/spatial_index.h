@@ -28,16 +28,15 @@ struct IndexStats {
   int height = 0;
   /// Learned indices: number of sub-models.
   size_t num_models = 0;
-  /// Learned indices: average number of sub-models invoked per lookup so
-  /// far ("average depth", Section 6.2.2); 0 when not applicable.
-  double avg_query_depth = 0.0;
 };
 
 /// Common interface of all indices evaluated in the paper: the learned
 /// RSMI and ZM plus the traditional Grid File, K-D-B-tree, HRR, and
 /// R*-tree. All of them store their data points in a BlockStore and report
 /// block accesses through a per-call QueryContext, mirroring the paper's
-/// "# block accesses" metric.
+/// "# block accesses" metric. Costs exist only per query: the paper's
+/// "average depth" (Section 6.2.2) is the caller's
+/// `ctx.model_invocations / ctx.descents`.
 ///
 /// Thread-safety contract: **reads are always concurrent; writes are
 /// concurrent where the kind supports buffering, exclusive otherwise.**
@@ -53,9 +52,8 @@ struct IndexStats {
 /// Immediate (non-buffered) application, structural maintenance
 /// (rebuilds, Save/Load, installing a BlockStore access hook), and every
 /// write on a kind without concurrent-update support keep the legacy
-/// requirement: exclusive access, no query in flight. The legacy
-/// context-free query wrappers are also safe to call concurrently; they
-/// fold their costs into a thread-safe aggregate (see below).
+/// requirement: exclusive access, no query in flight. The context-free
+/// query wrappers are also safe to call concurrently.
 class SpatialIndex {
  public:
   virtual ~SpatialIndex() = default;
@@ -78,58 +76,44 @@ class SpatialIndex {
   virtual std::vector<Point> KnnQuery(const Point& q, size_t k,
                                       QueryContext& ctx) const = 0;
 
-  /// Answers `n` point queries in one call, writing `out[i]` for `qs[i]`.
-  /// Results and per-call costs are identical to running PointQuery once
-  /// per point; learned indices override this to batch all sub-model
-  /// evaluations level by level through the vectorized inference engine
-  /// (src/nn/inference_engine.h), which is where their per-query
-  /// function-call and cache-miss overhead goes away. The batch query
-  /// engine (src/exec/) feeds same-workload point lookups through here.
-  virtual void PointQueryBatch(const Point* qs, size_t n, QueryContext& ctx,
-                               std::optional<PointEntry>* out) const {
-    for (size_t i = 0; i < n; ++i) out[i] = PointQuery(qs[i], ctx);
-  }
-
-  /// Per-op-attributed batch: identical results to the shared-context
-  /// overload, but query i's costs are charged to `ctxs[i]` — each
-  /// element must equal what a standalone PointQuery(qs[i]) would charge
-  /// (their sum equals the shared-context batch, which the parity tests
-  /// enforce). This is what lets the serving layer coalesce unrelated
-  /// clients' point requests into one vectorized batch while every
-  /// Response still reports its own exact QueryContext counters
-  /// (src/exec/request.h). Learned indices override both overloads from
-  /// one implementation; the default loops.
+  /// Answers `n` point queries in one call, writing `out[i]` for `qs[i]`
+  /// and charging query i's costs to `ctxs[i]` — each element equals what
+  /// a standalone PointQuery(qs[i]) would charge. Learned indices
+  /// override this to batch all sub-model evaluations level by level
+  /// through the vectorized inference engine (src/nn/inference_engine.h),
+  /// which is where their per-query function-call and cache-miss
+  /// overhead goes away. The per-op attribution is what lets the serving
+  /// layer coalesce unrelated clients' point requests into one batch
+  /// while every Response still reports its own exact counters
+  /// (src/exec/request.h). The default loops.
   virtual void PointQueryBatch(const Point* qs, size_t n, QueryContext* ctxs,
                                std::optional<PointEntry>* out) const {
     for (size_t i = 0; i < n; ++i) out[i] = PointQuery(qs[i], ctxs[i]);
   }
 
-  /// Context-free convenience wrappers (compatibility shims).
-  ///
-  /// \deprecated Prefer the QueryContext overloads: these wrappers exist
-  /// so pre-context call sites (the 23 figure benches, the examples)
-  /// compile unchanged. Each call runs the query with a throwaway
-  /// context, then folds it into the index-wide aggregate that
-  /// block_accesses() reports. They stay safe under concurrency, but the
-  /// aggregate mixes all threads' costs together — per-query accounting
-  /// needs the context overloads.
+  /// Shared-context form of the batch: runs the per-op batch above and
+  /// folds every op's costs into `ctx`.
+  void PointQueryBatch(const Point* qs, size_t n, QueryContext& ctx,
+                       std::optional<PointEntry>* out) const {
+    std::vector<QueryContext> ctxs(n);
+    PointQueryBatch(qs, n, ctxs.data(), out);
+    for (const QueryContext& c : ctxs) ctx.MergeFrom(c);
+  }
+
+  /// Context-free convenience wrappers: each runs the query with a
+  /// throwaway context and returns only the result. Callers that want
+  /// costs pass a QueryContext.
   std::optional<PointEntry> PointQuery(const Point& q) const {
     QueryContext ctx;
-    auto r = PointQuery(q, ctx);
-    AggregateQueryContext(ctx);
-    return r;
+    return PointQuery(q, ctx);
   }
   std::vector<Point> WindowQuery(const Rect& w) const {
     QueryContext ctx;
-    auto r = WindowQuery(w, ctx);
-    AggregateQueryContext(ctx);
-    return r;
+    return WindowQuery(w, ctx);
   }
   std::vector<Point> KnnQuery(const Point& q, size_t k) const {
     QueryContext ctx;
-    auto r = KnnQuery(q, k, ctx);
-    AggregateQueryContext(ctx);
-    return r;
+    return KnnQuery(q, k, ctx);
   }
 
   // --- Mutations ---
@@ -182,24 +166,6 @@ class SpatialIndex {
   virtual void FlushUpdates() {}
 
   virtual IndexStats Stats() const = 0;
-
-  /// Folds a finished per-query context into the index-wide legacy
-  /// counters. Thread-safe. Indices with extra bookkeeping (RSMI's
-  /// average query depth) extend this.
-  virtual void AggregateQueryContext(const QueryContext& ctx) const {
-    block_store().AggregateAccesses(ctx.block_accesses);
-  }
-
-  /// Block accesses aggregated from context-free queries since the index
-  /// was built.
-  ///
-  /// \deprecated Compatibility shim over the QueryContext machinery —
-  /// see the context-free query wrappers above. Kept for the figure
-  /// benches; new code should sum QueryContexts instead. The aggregate
-  /// is monotone: the old ResetBlockAccesses() shim is gone (reset-then-
-  /// measure cannot attribute costs under concurrency) — measure deltas
-  /// of this counter, or better, pass a QueryContext to the query.
-  virtual uint64_t block_accesses() const { return block_store().accesses(); }
 
   /// The store holding this index's data blocks. Lets callers hook the
   /// external-memory layer (xmem::ExternalIndex) into any index uniformly.

@@ -134,7 +134,7 @@ const char* StatusCodeName(StatusCode code);
 /// Result of one executed Request. Every field is set by the executor;
 /// `cost` carries the per-op QueryContext counters, which are identical
 /// whether the op ran alone or inside a coalesced PointQueryBatch group
-/// (the per-op-attributed batch overload guarantees it).
+/// (the batch charges query i to its own context).
 struct Response {
   /// Echo of Request::id.
   uint64_t id = 0;

@@ -73,7 +73,7 @@ struct ServerStats {
 /// point requests — across connections — are coalesced into one
 /// PointQueryBatch group per worker grab, so unrelated clients feed the
 /// vectorized level-synchronous descent of learned indices, and the
-/// per-op-attributed batch overload keeps every Response's
+/// batch's per-op contexts keep every Response's
 /// QueryContext counters exactly what a standalone query would have
 /// charged. Window/kNN/write requests are dispatched individually.
 ///

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdlib>
 
+#include "baselines/factory.h"
 #include "core/rsmi_index.h"
 #include "io/index_container.h"
 
@@ -48,6 +49,7 @@ std::unique_ptr<ExternalIndex> ExternalIndex::Open(const std::string& path,
   if (x->container_ == nullptr) return nullptr;
   x->inner_ = x->container_->LoadLazy(opts.verify_crc, error);
   if (x->inner_ == nullptr) return nullptr;
+  x->target_ = x->inner_.get();
   if (opts.deep_validate) {
     std::string why;
     if (!x->inner_->ValidateStructure(&why)) {
@@ -79,7 +81,7 @@ ExternalIndex::~ExternalIndex() {
   // exclusive-teardown contract, and the store must not call into a
   // half-destroyed governor/prefetcher.
   if (inner_ != nullptr) {
-    if (auto* rsmi = dynamic_cast<RsmiIndex*>(inner_.get())) {
+    if (RsmiIndex* rsmi = UnwrapRsmi(inner_.get())) {
       rsmi->SetBlockPrefetchHook(nullptr);
     }
     inner_->block_store().SetAccessHook(nullptr);
@@ -121,11 +123,12 @@ void ExternalIndex::InstallHooks() {
     const BlockRange& r = block_ranges_[static_cast<size_t>(id)];
     if (r.offset != BlockRange::kNone) governor_->MarkRef(r.offset, r.len);
   });
-  // Prediction-driven prefetch is wired for a top-level RSMI (the kind
-  // whose fused descent publishes leaf-block predictions); other kinds
-  // still get lazy loading, the budget, and the write-behind log.
+  // Prediction-driven prefetch is wired for a top-level RSMI or RSMIa
+  // (the kinds whose fused descent publishes leaf-block predictions);
+  // other kinds still get lazy loading, the budget, and the write-behind
+  // log.
   if (opts_.prefetch) {
-    if (auto* rsmi = dynamic_cast<RsmiIndex*>(inner_.get())) {
+    if (RsmiIndex* rsmi = UnwrapRsmi(inner_.get())) {
       prefetcher_ = std::make_unique<AsyncPrefetcher>(&map);
       rsmi->SetBlockPrefetchHook(
           [this](int first, int last) { PrefetchBlocks(first, last); });

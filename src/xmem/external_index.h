@@ -7,7 +7,7 @@
 #include <string>
 #include <vector>
 
-#include "core/spatial_index.h"
+#include "core/forwarding_index.h"
 #include "xmem/mapped_container.h"
 #include "xmem/prefetcher.h"
 #include "xmem/residency.h"
@@ -71,7 +71,7 @@ struct XmemOptions {
 /// bit-identical to the same container loaded eagerly with LoadIndex()
 /// — the hooks only move bytes, never touch contexts (the xmem parity
 /// tests enforce this across all persistable kinds).
-class ExternalIndex : public SpatialIndex {
+class ExternalIndex : public ForwardingIndex {
  public:
   /// Opens the container at `path` lazily, replays any write-behind log
   /// next to it, and wires up the governor/prefetcher. nullptr with a
@@ -86,47 +86,11 @@ class ExternalIndex : public SpatialIndex {
   ExternalIndex(const ExternalIndex&) = delete;
   ExternalIndex& operator=(const ExternalIndex&) = delete;
 
-  // --- SpatialIndex: pure delegation (the contract above) ---
+  // --- SpatialIndex: everything else forwards to the loaded index ---
   std::string Name() const override { return "xmem:" + inner_->Name(); }
-  std::optional<PointEntry> PointQuery(const Point& q,
-                                       QueryContext& ctx) const override {
-    return inner_->PointQuery(q, ctx);
-  }
-  std::vector<Point> WindowQuery(const Rect& w,
-                                 QueryContext& ctx) const override {
-    return inner_->WindowQuery(w, ctx);
-  }
-  std::vector<Point> KnnQuery(const Point& q, size_t k,
-                              QueryContext& ctx) const override {
-    return inner_->KnnQuery(q, k, ctx);
-  }
-  void PointQueryBatch(const Point* qs, size_t n, QueryContext& ctx,
-                       std::optional<PointEntry>* out) const override {
-    inner_->PointQueryBatch(qs, n, ctx, out);
-  }
-  void PointQueryBatch(const Point* qs, size_t n, QueryContext* ctxs,
-                       std::optional<PointEntry>* out) const override {
-    inner_->PointQueryBatch(qs, n, ctxs, out);
-  }
-  IndexStats Stats() const override { return inner_->Stats(); }
-  void AggregateQueryContext(const QueryContext& ctx) const override {
-    inner_->AggregateQueryContext(ctx);
-  }
-  uint64_t block_accesses() const override { return inner_->block_accesses(); }
-  const BlockStore& block_store() const override {
-    return inner_->block_store();
-  }
-  bool SupportsConcurrentUpdates() const override {
-    return inner_->SupportsConcurrentUpdates();
-  }
   void FlushUpdates() override {
     if (wb_ != nullptr) wb_->Flush();
     inner_->FlushUpdates();
-  }
-  std::string KindSpec() const override { return inner_->KindSpec(); }
-  bool SaveTo(Serializer& out) const override { return inner_->SaveTo(out); }
-  bool ValidateStructure(std::string* error) const override {
-    return inner_->ValidateStructure(error);
   }
 
   // --- xmem surface ---
@@ -152,23 +116,13 @@ class ExternalIndex : public SpatialIndex {
   const XmemOptions& options() const { return opts_; }
 
  protected:
-  void InsertOne(const Point& p) override {
-    UpdateBatch b;
-    b.Insert(p);
-    DoApplyUpdates(b, WriteOptions{});
-  }
-  bool DeleteOne(const Point& p) override {
-    UpdateBatch b;
-    b.Delete(p);
-    return DoApplyUpdates(b, WriteOptions{}).delete_misses == 0;
-  }
   /// Log first (crash durability), then delegate the whole batch — the
   /// inner kind keeps its own strategy (immediate, leaf buffers, or
   /// sharded concurrent deltas).
   UpdateResult DoApplyUpdates(const UpdateBatch& batch,
                               const WriteOptions& opts) override {
     if (wb_ != nullptr) wb_->Append(batch, opts.fence);
-    return inner_->ApplyUpdates(batch, opts);
+    return ForwardingIndex::DoApplyUpdates(batch, opts);
   }
 
  private:

@@ -174,12 +174,9 @@ TEST_P(IndexConformance, StatsAndCountersAreSane) {
   EXPECT_EQ(s.name, index_->Name());
   EXPECT_EQ(s.num_points, data_.size());
   EXPECT_GT(s.size_bytes, 0u);
-  // The legacy aggregate is monotone (no reset): the context-free
-  // wrappers must keep folding costs into the index-wide aggregate so
-  // pre-context callers see the old behavior as counter deltas.
-  const uint64_t before = index_->block_accesses();
-  index_->PointQuery(data_[0]);
-  EXPECT_GT(index_->block_accesses(), before);
+  QueryContext ctx;
+  EXPECT_TRUE(index_->PointQuery(data_[0], ctx).has_value());
+  EXPECT_GT(ctx.block_accesses, 0u);
 }
 
 std::string ParamName(

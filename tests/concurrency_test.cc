@@ -160,27 +160,6 @@ TEST_P(ConcurrencyTest, BatchedPointPathMatchesScalarUnderEightThreads) {
   }
 }
 
-TEST_P(ConcurrencyTest, LegacyAggregateSumsAllThreads) {
-  const auto data = GenerateDataset(Distribution::kUniform, 1500, 7);
-  const auto index = MakeIndex(GetParam(), data, TestConfig());
-
-  // The context-free wrappers stay safe under concurrency: the aggregate
-  // ends up with exactly the sum of every thread's deterministic costs.
-  QueryContext single;
-  for (size_t i = 0; i < 64; ++i) index->PointQuery(data[i * 7], single);
-
-  const uint64_t before = index->block_accesses();
-  std::vector<std::thread> threads;
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&] {
-      for (size_t i = 0; i < 64; ++i) index->PointQuery(data[i * 7]);
-    });
-  }
-  for (auto& th : threads) th.join();
-  EXPECT_EQ(index->block_accesses() - before,
-            kThreads * single.block_accesses);
-}
-
 std::string KindName(const ::testing::TestParamInfo<IndexKind>& info) {
   std::string out;
   for (char c : IndexKindName(info.param)) {

@@ -68,7 +68,8 @@ TEST(ExtentIndexTest, ApproximateWindowHasNoFalsePositives) {
   for (int trial = 0; trial < 30; ++trial) {
     const Point c{rng.Uniform(), rng.Uniform()};
     const Rect w{{c.x - 0.03, c.y - 0.03}, {c.x + 0.03, c.y + 0.03}};
-    const auto got = index.WindowQuery(w);
+    QueryContext ctx;
+    const auto got = index.WindowQuery(w, ctx);
     for (const auto& r : got) {
       EXPECT_TRUE(r.Intersects(w));
     }

@@ -72,7 +72,8 @@ TEST_P(ExtentSizeTest, ApproximateWindowQueryHasNoFalsePositives) {
     const Point c{rng.Uniform(), rng.Uniform()};
     const double half = 0.02 + 0.05 * rng.Uniform();
     const Rect w{{c.x - half, c.y - half}, {c.x + half, c.y + half}};
-    const auto got = index.WindowQuery(w);
+    QueryContext ctx;
+    const auto got = index.WindowQuery(w, ctx);
     for (const Rect& r : got) {
       ASSERT_TRUE(r.Intersects(w)) << "false positive";
     }

@@ -8,6 +8,7 @@
 
 #include <cstdio>
 #include <cstring>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -418,6 +419,28 @@ TEST(ContainerCorruptionTest, SpecPayloadMismatchIsRefused) {
   forged.WriteBytes(src.cursor(), info.payload_bytes);
   ExpectLoadFailsWith(WriteImage("spec_mismatch.idx", forged.buffer()),
                       "does not match the container spec");
+}
+
+TEST(ContainerCorruptionTest, StructurallyBrokenRsmiaIsRefusedOnLoad) {
+  // A CRC-valid "rsmia" container whose RSMI has an entry outside its
+  // block's MBR: LoadIndex's structural backstop must reach the RSMI
+  // checker through the RSMIa view and refuse the file.
+  const auto data = GenerateDataset(Distribution::kUniform, 1500, 31);
+  auto impl = std::make_shared<RsmiIndex>(data, SmallConfig());
+  auto rsmia = MakeRsmiaView(impl);
+  BlockStore& store = const_cast<BlockStore&>(impl->block_store());
+  bool broke = false;
+  for (size_t id = 0; id < store.NumBlocks() && !broke; ++id) {
+    Block& b = store.MutableBlock(static_cast<int>(id));
+    if (b.entries.empty()) continue;
+    b.mbr = Rect::Empty();
+    broke = true;
+  }
+  ASSERT_TRUE(broke);
+  const std::string path = TempPath("broken_rsmia.idx");
+  std::string err;
+  ASSERT_TRUE(SaveIndex(*rsmia, path, &err)) << err;
+  ExpectLoadFailsWith(path, "fails structural validation");
 }
 
 // A kind that opts out of persistence (empty KindSpec) — every shipped

@@ -8,16 +8,22 @@
 // structure the build produced (see nn/inference_engine.h).
 #include "nn/inference_engine.h"
 
+#include <cctype>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <memory>
+#include <optional>
+#include <string>
 #include <vector>
 
 #include "baselines/factory.h"
 #include "common/rng.h"
 #include "data/generators.h"
+#include "io/index_container.h"
 #include "io/serializer.h"
 #include "nn/mlp.h"
+#include "xmem/external_index.h"
 #include "gtest/gtest.h"
 
 namespace rsmi {
@@ -250,11 +256,52 @@ TEST(InferenceEngineTest, TrainedMlpBatchMatchesPredictExactly) {
   }
 }
 
+/// Index under test for the batch parity suite: a factory spec, or
+/// "xmem:<spec>" for that index saved and reopened through the
+/// beyond-RAM ExternalIndex (lazily mapped, hooks installed).
+std::unique_ptr<SpatialIndex> MakeParityIndex(const std::string& spec,
+                                              const std::vector<Point>& data,
+                                              const IndexBuildConfig& cfg) {
+  const std::string xmem_prefix = "xmem:";
+  if (spec.compare(0, xmem_prefix.size(), xmem_prefix) != 0) {
+    return MakeIndexFromSpec(spec, data, cfg);
+  }
+  const auto built =
+      MakeIndexFromSpec(spec.substr(xmem_prefix.size()), data, cfg);
+  const std::string path = ::testing::TempDir() + "/batch_parity.idx";
+  if (built == nullptr || !SaveIndex(*built, path)) return nullptr;
+  xmem::XmemOptions opts;
+  opts.apply_env_overrides = false;
+  opts.governor_interval_ms = 0;
+  opts.write_behind = false;
+  return xmem::ExternalIndex::Open(path, opts);
+}
+
+void ExpectSameCost(const QueryContext& want, const QueryContext& got,
+                    const std::string& what) {
+  EXPECT_EQ(want.block_accesses, got.block_accesses) << what;
+  EXPECT_EQ(want.model_invocations, got.model_invocations) << what;
+  EXPECT_EQ(want.descents, got.descents) << what;
+  EXPECT_EQ(want.nodes_visited, got.nodes_visited) << what;
+}
+
+void ExpectSameEntry(const std::optional<PointEntry>& want,
+                     const std::optional<PointEntry>& got,
+                     const std::string& what) {
+  ASSERT_EQ(want.has_value(), got.has_value()) << what;
+  if (want.has_value()) {
+    EXPECT_EQ(want->id, got->id) << what;
+  }
+}
+
 /// The batched point path must be indistinguishable from the scalar one:
 /// same hits, same misses, same counted costs — for every index kind
 /// (learned ones batch through the engine, the rest inherit the looping
-/// default), before and after updates perturb the block layout.
-class BatchPointParity : public ::testing::TestWithParam<IndexKind> {};
+/// default), through every packaging (sharded, the RSMIa view, the
+/// mapped ExternalIndex), before and after updates perturb the block
+/// layout. Query i's per-op batch context equals its scalar context, and
+/// the shared-context form charges exactly their sum.
+class BatchPointParity : public ::testing::TestWithParam<std::string> {};
 
 TEST_P(BatchPointParity, BatchedPointQueriesMatchScalarExactly) {
   const auto data = GenerateDataset(Distribution::kSkewed, 2500, 42);
@@ -263,7 +310,8 @@ TEST_P(BatchPointParity, BatchedPointQueriesMatchScalarExactly) {
   cfg.partition_threshold = 400;
   cfg.train.epochs = 40;
   cfg.internal_sample_cap = 2048;
-  const auto index = MakeIndex(GetParam(), data, cfg);
+  const auto index = MakeParityIndex(GetParam(), data, cfg);
+  ASSERT_NE(index, nullptr);
 
   // Half stored points (hits), half perturbed (mostly misses).
   std::vector<Point> qs;
@@ -275,24 +323,27 @@ TEST_P(BatchPointParity, BatchedPointQueriesMatchScalarExactly) {
   }
 
   auto check = [&] {
-    QueryContext scalar_ctx;
-    std::vector<std::optional<PointEntry>> want(qs.size());
-    for (size_t i = 0; i < qs.size(); ++i) {
-      want[i] = index->PointQuery(qs[i], scalar_ctx);
+    const size_t n = qs.size();
+    std::vector<QueryContext> scalar_ctx(n);
+    QueryContext scalar_sum;
+    std::vector<std::optional<PointEntry>> want(n);
+    for (size_t i = 0; i < n; ++i) {
+      want[i] = index->PointQuery(qs[i], scalar_ctx[i]);
+      scalar_sum.MergeFrom(scalar_ctx[i]);
     }
-    QueryContext batch_ctx;
-    std::vector<std::optional<PointEntry>> got(qs.size());
-    index->PointQueryBatch(qs.data(), qs.size(), batch_ctx, got.data());
-    for (size_t i = 0; i < qs.size(); ++i) {
-      ASSERT_EQ(want[i].has_value(), got[i].has_value()) << "query " << i;
-      if (want[i].has_value()) {
-        EXPECT_EQ(want[i]->id, got[i]->id) << "query " << i;
-      }
+    std::vector<QueryContext> op_ctx(n);
+    std::vector<std::optional<PointEntry>> per_op(n);
+    index->PointQueryBatch(qs.data(), n, op_ctx.data(), per_op.data());
+    QueryContext shared_ctx;
+    std::vector<std::optional<PointEntry>> shared(n);
+    index->PointQueryBatch(qs.data(), n, shared_ctx, shared.data());
+    for (size_t i = 0; i < n; ++i) {
+      const std::string what = "query " + std::to_string(i);
+      ExpectSameEntry(want[i], per_op[i], what);
+      ExpectSameEntry(want[i], shared[i], what);
+      ExpectSameCost(scalar_ctx[i], op_ctx[i], what);
     }
-    EXPECT_EQ(scalar_ctx.block_accesses, batch_ctx.block_accesses);
-    EXPECT_EQ(scalar_ctx.model_invocations, batch_ctx.model_invocations);
-    EXPECT_EQ(scalar_ctx.descents, batch_ctx.descents);
-    EXPECT_EQ(scalar_ctx.nodes_visited, batch_ctx.nodes_visited);
+    ExpectSameCost(scalar_sum, shared_ctx, "shared-context batch");
   };
   check();
 
@@ -305,13 +356,17 @@ TEST_P(BatchPointParity, BatchedPointQueriesMatchScalarExactly) {
   check();
 }
 
-INSTANTIATE_TEST_SUITE_P(AllIndices, BatchPointParity,
-                         ::testing::Values(IndexKind::kRsmi, IndexKind::kZm,
-                                           IndexKind::kRsmia,
-                                           IndexKind::kGrid),
-                         [](const ::testing::TestParamInfo<IndexKind>& info) {
-                           return IndexKindName(info.param);
-                         });
+INSTANTIATE_TEST_SUITE_P(
+    AllIndices, BatchPointParity,
+    ::testing::Values("rsmi", "zm", "rsmia", "grid", "sharded<4>:rsmi",
+                      "xmem:rsmi"),
+    [](const ::testing::TestParamInfo<std::string>& info) {
+      std::string name;
+      for (char c : info.param) {
+        name.push_back(std::isalnum(static_cast<unsigned char>(c)) ? c : '_');
+      }
+      return name;
+    });
 
 TEST(InferenceEngineTest, PersistedMlpKeepsExactPredictions) {
   // Save/load must land on the same engine snapshot: the deployment

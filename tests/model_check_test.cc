@@ -95,8 +95,7 @@ std::unique_ptr<SpatialIndex> MakeSubject(Subject s,
         rc.update_strategy = UpdateStrategy::kLeafBuffer;
       }
       if (s == Subject::kRsmiGapped) rc.build_fill_factor = 0.75;
-      auto impl = std::make_shared<RsmiIndex>(data, rc);
-      return MakeRsmiView(std::move(impl));
+      return std::make_unique<RsmiIndex>(data, rc);
     }
   }
   return nullptr;

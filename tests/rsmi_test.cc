@@ -290,10 +290,12 @@ TEST(RsmiStructureTest, StatsReflectRecursivePartitioning) {
   EXPECT_GE(s.height, 2);      // 5000 > N=400 forces at least one split
   EXPECT_GT(s.num_models, 1u);
   EXPECT_GT(s.size_bytes, data.size() * sizeof(PointEntry) / 2);
-  // Depth tracking kicks in once queries run.
-  EXPECT_DOUBLE_EQ(s.avg_query_depth, 0.0);
-  index.PointQuery(data[0]);
-  EXPECT_GE(index.AvgQueryDepth(), 2.0);
+  // The query's context records its depth ("average depth" is
+  // model_invocations / descents).
+  QueryContext ctx;
+  index.PointQuery(data[0], ctx);
+  ASSERT_EQ(ctx.descents, 1u);
+  EXPECT_GE(ctx.model_invocations, 2u);
 }
 
 TEST(RsmiStructureTest, SingleLeafWhenSmall) {

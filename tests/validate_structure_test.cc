@@ -12,6 +12,7 @@
 #include "common/rng.h"
 #include "core/rsmi_index.h"
 #include "data/generators.h"
+#include "shard/sharded_index.h"
 #include "gtest/gtest.h"
 
 namespace rsmi {
@@ -140,6 +141,39 @@ TEST(ValidateStructureTest, GappedAndBufferedVariantsValidate) {
           << "fill=" << fill << " strategy=" << static_cast<int>(strategy)
           << ": " << error;
     }
+  }
+}
+
+/// Empties the MBR of the first non-empty block in `store`, so at least
+/// one stored entry falls outside its block's MBR. False when every
+/// block is empty.
+bool BreakOneBlockMbr(const BlockStore& store) {
+  BlockStore& mut = const_cast<BlockStore&>(store);
+  for (size_t id = 0; id < store.NumBlocks(); ++id) {
+    if (store.Peek(static_cast<int>(id)).entries.empty()) continue;
+    mut.MutableBlock(static_cast<int>(id)).mbr = Rect::Empty();
+    return true;
+  }
+  return false;
+}
+
+TEST(ValidateStructureTest, CorruptRsmiIsRejectedBehindEveryPackaging) {
+  // The RSMI checker must run whatever wraps the RsmiIndex: the plain
+  // factory build, the RSMIa view, and each shard of a sharded RSMI.
+  const auto data = GenerateDataset(Distribution::kSkewed, 2000, 101);
+  for (const std::string spec : {"rsmi", "rsmia", "sharded<2>:rsmi"}) {
+    auto index = MakeIndexFromSpec(spec, data, SmallConfig());
+    ASSERT_NE(index, nullptr) << spec;
+    std::string error;
+    ASSERT_TRUE(index->ValidateStructure(&error)) << spec << ": " << error;
+    const auto* sharded = dynamic_cast<const ShardedIndex*>(index.get());
+    const BlockStore& store = sharded != nullptr
+                                  ? sharded->shard(0).block_store()
+                                  : index->block_store();
+    ASSERT_TRUE(BreakOneBlockMbr(store)) << spec;
+    EXPECT_FALSE(index->ValidateStructure(&error)) << spec;
+    EXPECT_NE(error.find("entry outside block MBR"), std::string::npos)
+        << spec << ": " << error;
   }
 }
 

@@ -244,6 +244,25 @@ TEST(XmemTest, PrefetchOnAndOffAreBitIdentical) {
   std::remove(path.c_str());
 }
 
+TEST(XmemTest, RsmiaContainerGetsThePrefetcher) {
+  // The RSMI behind an RSMIa view publishes the same predictions, so a
+  // mapped "rsmia" container is wired for prefetch like a plain "rsmi".
+  const Workload w = MakeWorkload(2000, 37);
+  auto built = MakeIndexFromSpec("rsmia", w.data, SpecConfig());
+  const std::string path = TempPath("xmem_prefetch_rsmia.idx");
+  std::string err;
+  ASSERT_TRUE(SaveIndex(*built, path, &err)) << err;
+  xmem::XmemOptions opts = TestXmemOptions();
+  opts.prefetch = true;
+  auto mapped = xmem::ExternalIndex::Open(path, opts, &err);
+  ASSERT_NE(mapped, nullptr) << err;
+  ASSERT_NE(mapped->prefetcher(), nullptr);
+  RunBattery(*mapped, w.probes, w.windows, w.knn_queries);
+  mapped->DrainPrefetch();
+  EXPECT_GT(mapped->prefetcher()->issued(), 0u);
+  std::remove(path.c_str());
+}
+
 TEST(XmemTest, BudgetEnforcementEvictsAndQueriesRefault) {
   const Workload w = MakeWorkload(5000, 37);
   auto built = MakeIndexFromSpec("rsmi", w.data, SpecConfig());
